@@ -70,6 +70,13 @@ def check_retention(x) -> float:
     return x
 
 
+def retention_grid(steps: int) -> list[float]:
+    """Evenly spaced retention rates i/(steps-1), both endpoints included."""
+    if steps < 2:
+        raise ValidationError(f"grid must be >= 2, got {steps}")
+    return [i / (steps - 1) for i in range(steps)]
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """Ordered Kraus operators; the order matters because it indexes the

@@ -5,41 +5,25 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from . import closedform
-from .bloch import BlochVector, bloch_to_density, check_bloch, parse_bloch
-from .channels import (
-    COMPLETENESS_TOL,
-    PauliAxis,
-    check_retention,
-    completeness_residual,
-    make_one_pauli,
-)
+from .bloch import BlochVector, bloch_to_density, parse_bloch
+from .channels import PauliAxis, check_retention, make_one_pauli, retention_grid
 from .errors import NumericError, ValidationError
-from .measures import ChannelReport, environment_entropy_oracle, full_report
+from .measures import ChannelReport, full_report
+# random_bloch is re-exported for callers that import the verification
+# names from the command-line module.
+from .verify import (  # noqa: F401
+    REFERENCE_STATES,
+    RESIDUAL_LIMIT,
+    VerificationReport,
+    random_bloch,
+    run_verification,
+)
 
 CSV_HEADER = "x,N,C,F_numeric,F_paper,H_out,lambda_hi,theta_hi,b1,b2,b3"
 DEFAULT_PRECISION = 12
 DEFAULT_STEPS = 201
-RESIDUAL_LIMIT = 1e-10
-
-# Per-axis reference inputs used by the verify claim check: component 0.5
-# along the channel axis, 0.6 on the two transverse axes.
-REFERENCE_STATES = {
-    PauliAxis.SIGMA1: BlochVector(0.5, 0.6, 0.6),
-    PauliAxis.SIGMA2: BlochVector(0.6, 0.5, 0.6),
-    PauliAxis.SIGMA3: BlochVector(0.6, 0.6, 0.5),
-}
-
-
-def retention_grid(steps: int) -> list[float]:
-    """Evenly spaced retention rates i/(steps-1), both endpoints included."""
-    if steps < 2:
-        raise ValidationError(f"grid must be >= 2, got {steps}")
-    return [i / (steps - 1) for i in range(steps)]
 
 
 def format_value(value: float, precision: int) -> str:
@@ -107,168 +91,6 @@ def write_sweep_csv(spec: SweepSpec, reports: list[ChannelReport], path: str) ->
 # verification
 
 
-@dataclass
-class AxisVerification:
-    """Maximum cross-path residuals for one channel axis, plus the
-    coherent-information sign counts."""
-
-    axis: PauliAxis
-    residual_bloch: float = 0.0
-    residual_lambda: float = 0.0
-    residual_theta: float = 0.0
-    residual_noise: float = 0.0
-    residual_coherent: float = 0.0
-    residual_oracle: float = 0.0
-    residual_fidelity_identity: float = 0.0
-    residual_fidelity_closed: float = 0.0
-    completeness_max: float = 0.0
-    gap_max: float = 0.0
-    gap_predicted_at_max: float = 0.0
-    c_positive: int = 0
-    points: int = 0
-    c_positive_reference: int = 0
-    reference_points: int = 0
-    c_positive_at_x0: bool = False
-    c_positive_at_x1: bool = False
-
-    def residuals(self) -> dict[str, float]:
-        return {
-            "bloch_out": self.residual_bloch,
-            "lambda": self.residual_lambda,
-            "theta": self.residual_theta,
-            "noise": self.residual_noise,
-            "coherent": self.residual_coherent,
-            "oracle_vs_w": self.residual_oracle,
-            "fidelity_identity": self.residual_fidelity_identity,
-            "fidelity_closed": self.residual_fidelity_closed,
-        }
-
-    @property
-    def endpoints_c_positive(self) -> bool:
-        return self.c_positive_at_x0 and self.c_positive_at_x1
-
-    @property
-    def passed(self) -> bool:
-        return (
-            max(self.residuals().values()) <= RESIDUAL_LIMIT
-            and self.completeness_max <= COMPLETENESS_TOL
-        )
-
-
-@dataclass
-class VerificationReport:
-    grid_steps: int
-    samples: int
-    seed: int
-    axes: list[AxisVerification] = field(default_factory=list)
-
-    @property
-    def max_residual(self) -> float:
-        return max(max(av.residuals().values()) for av in self.axes)
-
-    @property
-    def passed(self) -> bool:
-        return all(av.passed for av in self.axes)
-
-    def axis(self, axis: PauliAxis) -> AxisVerification:
-        for av in self.axes:
-            if av.axis is axis:
-                return av
-        raise KeyError(axis)
-
-
-def random_bloch(rng: np.random.Generator) -> BlochVector:
-    """Uniform components in [-1, 1], resampled until inside the unit ball."""
-    while True:
-        v = rng.uniform(-1.0, 1.0, size=3)
-        if float(v @ v) <= 1.0:
-            return BlochVector(*(float(c) for c in v))
-
-
-def run_verification(grid_steps: int, samples: int, seed: int) -> VerificationReport:
-    """Cross-validate the closed forms against the generic Kraus path.
-
-    For each axis, every grid retention rate is evaluated on `samples`
-    seeded random Bloch vectors plus the axis's reference input; the
-    maxima of all cross-path residuals are collected along the way.
-    """
-    grid = retention_grid(grid_steps)
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    report = VerificationReport(grid_steps=grid_steps, samples=samples, seed=seed)
-    for axis in PauliAxis:
-        states = [random_bloch(rng) for _ in range(samples)]
-        states.append(REFERENCE_STATES[axis])
-        rhos = [bloch_to_density(a) for a in states]
-        av = AxisVerification(axis=axis)
-        for gi, x in enumerate(grid):
-            ch = make_one_pauli(axis, x)
-            av.completeness_max = max(av.completeness_max, completeness_residual(ch))
-            for si, (a, rho) in enumerate(zip(states, rhos)):
-                is_reference = si == len(states) - 1
-                rep = full_report(ch, rho)
-                point = closedform.closed_point(axis, x, a)
-
-                av.residual_bloch = max(
-                    av.residual_bloch,
-                    max(abs(u - v) for u, v in zip(rep.bloch_out, point.b)),
-                )
-                av.residual_lambda = max(
-                    av.residual_lambda,
-                    abs(rep.lambdas.hi - point.lambdas.hi),
-                    abs(rep.lambdas.lo - point.lambdas.lo),
-                )
-                av.residual_theta = max(
-                    av.residual_theta,
-                    abs(rep.thetas.hi - point.thetas.hi),
-                    abs(rep.thetas.lo - point.thetas.lo),
-                )
-                av.residual_noise = max(
-                    av.residual_noise, abs(rep.noise_n - point.noise_n)
-                )
-                av.residual_coherent = max(
-                    av.residual_coherent, abs(rep.coherent_c - point.coherent_c)
-                )
-                av.residual_oracle = max(
-                    av.residual_oracle,
-                    abs(rep.noise_n - environment_entropy_oracle(ch, rho)),
-                )
-
-                ak = a[axis - 1]
-                av.residual_fidelity_identity = max(
-                    av.residual_fidelity_identity,
-                    abs(rep.fidelity_numeric - (x + (1.0 - x) * ak * ak)),
-                )
-                gap = rep.fidelity_numeric - rep.fidelity_paper
-                predicted = (
-                    2.0 * (1.0 - x) * a.a2 * a.a2
-                    if axis is PauliAxis.SIGMA2
-                    else 0.0
-                )
-                av.residual_fidelity_closed = max(
-                    av.residual_fidelity_closed, abs(gap - predicted)
-                )
-                if gap > av.gap_max:
-                    av.gap_max = gap
-                    av.gap_predicted_at_max = predicted
-
-                av.points += 1
-                positive = rep.coherent_c > 0.0
-                if positive:
-                    av.c_positive += 1
-                if is_reference:
-                    av.reference_points += 1
-                    if positive:
-                        av.c_positive_reference += 1
-                    if gi == 0:
-                        av.c_positive_at_x0 = positive
-                    if gi == grid_steps - 1:
-                        av.c_positive_at_x1 = positive
-        report.axes.append(av)
-    return report
-
-
 def format_verification(report: VerificationReport) -> str:
     lines = [
         f"grid = {report.grid_steps}, samples = {report.samples}, "
@@ -291,6 +113,10 @@ def format_verification(report: VerificationReport) -> str:
                 f"{av.gap_predicted_at_max:.12g}"
             )
         lines.append(f"  C>0 points = {av.c_positive} of {av.points}")
+        lines.append(
+            f"  |C|<={RESIDUAL_LIMIT:g} points = {av.c_zero}; "
+            f"C<-{RESIDUAL_LIMIT:g} points = {av.c_negative}"
+        )
         endpoints = "yes" if av.endpoints_c_positive else "no"
         lines.append(
             f"  C>0 points (reference input) = {av.c_positive_reference} of "
@@ -325,7 +151,7 @@ def _check_precision(precision) -> int:
 
 def cmd_analyze(args) -> int:
     axis = PauliAxis.from_token(args.channel)
-    bloch = _flagged("--bloch", lambda t: check_bloch(parse_bloch(t)), args.bloch)
+    bloch = _flagged("--bloch", parse_bloch, args.bloch)
     x = _flagged("--x", check_retention, args.x)
     precision = _flagged("--precision", _check_precision, args.precision)
     report = full_report(make_one_pauli(axis, x), bloch_to_density(bloch))
@@ -345,7 +171,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     axis = PauliAxis.from_token(args.channel)
-    bloch = _flagged("--bloch", lambda t: check_bloch(parse_bloch(t)), args.bloch)
+    bloch = _flagged("--bloch", parse_bloch, args.bloch)
     precision = _flagged("--precision", _check_precision, args.precision)
     spec = _flagged(
         "--steps", lambda steps: SweepSpec(axis, bloch, steps, precision), args.steps

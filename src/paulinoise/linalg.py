@@ -2,7 +2,9 @@
 
 Everything operates on plain numpy arrays with complex entries. The only
 spectral routine is the closed form for 2x2 Hermitian matrices, which is
-all the rest of the package needs.
+all the rest of the package needs. The eigenvalue and entropy kernels come
+twice: a scalar form for single operating points, and a batch form over
+stacks of shape (..., 2, 2) that applies the same checks to every entry.
 """
 
 from __future__ import annotations
@@ -95,3 +97,54 @@ def spectrum_entropy(spectrum: Iterable[float]) -> float:
         if p > 0.0:
             total -= p * log2(p)
     return total
+
+
+def hermitian_eigenvalues_batch(m) -> np.ndarray:
+    """hermitian_eigenvalues_2x2 over a stack of shape (..., 2, 2).
+
+    Returns the spectra as shape (..., 2), descending along the last axis.
+    The checks are those of the scalar kernel, applied to every matrix:
+    finite entries and Hermiticity raise ValidationError, a discriminant
+    below -1e-12 raises NumericError.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-2:] != (2, 2):
+        raise ValidationError(
+            f"expected a stack of 2x2 matrices, got shape {m.shape}"
+        )
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("matrix stack contains non-finite entries")
+    residual = float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max(initial=0.0))
+    if residual > HERMITICITY_TOL:
+        raise ValidationError(
+            f"matrix is not Hermitian: residual {residual:.3e} exceeds {HERMITICITY_TOL}"
+        )
+    m00, m11 = m[..., 0, 0].real, m[..., 1, 1].real
+    t = m00 + m11
+    diag_gap = m00 - m11
+    m01, m10 = m[..., 0, 1], m[..., 1, 0]
+    # Re(m01 m10) spelled out: numpy's complex product may fuse the
+    # multiply-add and round differently from the scalar kernel.
+    off_product = m01.real * m10.real - m01.imag * m10.imag
+    disc = diag_gap * diag_gap + 4.0 * off_product
+    lowest = float(disc.min(initial=0.0))
+    if lowest < -1e-12:
+        raise NumericError(f"negative eigenvalue discriminant {lowest:.3e}")
+    root = np.sqrt(np.maximum(disc, 0.0))
+    return np.stack(((t + root) / 2.0, (t - root) / 2.0), axis=-1)
+
+
+def spectrum_entropy_batch(spectra) -> np.ndarray:
+    """spectrum_entropy along the last axis of an array of spectra, with
+    the same bounds, clamping and 0 log 0 = 0."""
+    p = np.asarray(spectra, dtype=float)
+    lowest = float(p.min(initial=np.inf))
+    if lowest < EIGENVALUE_FLOOR:
+        raise NumericError(f"spectrum value {lowest:.3e} below {EIGENVALUE_FLOOR}")
+    highest = float(p.max(initial=-np.inf))
+    if highest > 1.0 + 1e-12:
+        raise NumericError(f"spectrum value {highest} exceeds 1")
+    p = np.clip(p, 0.0, 1.0)
+    positive = p > 0.0
+    terms = np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0)
+    return 0.0 - terms.sum(axis=-1)  # +0.0 for pure spectra, as in the scalar kernel

@@ -13,6 +13,7 @@ from paulinoise import (
     parse_bloch,
     state_entropy,
 )
+from paulinoise.bloch import check_density_batch
 from paulinoise.linalg import hermitian_eigenvalues_2x2
 
 # binary entropy of (1 + sqrt(0.97))/2, evaluated with 50-digit arithmetic
@@ -129,3 +130,26 @@ def test_check_density_rejects_wrong_trace():
 def test_check_density_rejects_negative_eigenvalue():
     with pytest.raises(ValidationError, match="eigenvalue"):
         check_density([[1.2, 0], [0, -0.2]])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[0.5, 0.1], [0.0, 0.5]],  # not Hermitian
+        [[0.6, 0.0], [0.0, 0.5]],  # trace 1.1
+        [[1.1, 0.0], [0.0, -0.1]],  # negative eigenvalue
+        [[np.nan, 0.0], [0.0, 0.5]],
+    ],
+    ids=["hermiticity", "trace", "positivity", "non-finite"],
+)
+def test_check_density_batch_rejects_any_bad_state(bad):
+    good = bloch_to_density((0.1, 0.2, 0.3))
+    with pytest.raises(ValidationError):
+        check_density_batch([good, np.array(bad, dtype=complex), good])
+    with pytest.raises(ValidationError):
+        check_density(np.array(bad, dtype=complex))
+
+
+def test_check_density_batch_accepts_valid_states():
+    states = [bloch_to_density(a) for a in ((0, 0, 0), (0, 0, 1), (0.6, -0.8, 0))]
+    assert np.array_equal(check_density_batch(states), np.array(states))

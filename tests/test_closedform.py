@@ -22,6 +22,8 @@ from paulinoise import (
     w_matrix,
     w_spectrum,
 )
+from paulinoise import NumericError, closedform
+from paulinoise.closedform import closed_batch
 from paulinoise.linalg import hermitian_eigenvalues_2x2
 
 H_REF = 0.06412343509793366        # binary entropy of (1 + sqrt(0.97))/2
@@ -163,6 +165,20 @@ def test_domain_validation(bad_x):
         closed_point(1, bad_x, (0, 0, 0))
     with pytest.raises(ValidationError):
         closed_point(1, 0.5, (1, 1, 1))
+    with pytest.raises(ValidationError):
+        closed_batch(1, [0.0, bad_x], [(0, 0, 0)])
+    with pytest.raises(ValidationError):
+        closed_batch(1, [0.5], [(0, 0, 0), (1, 1, 1)])
+
+
+def test_batched_radicand_floor(monkeypatch):
+    # valid inputs keep the radicands non-negative, so a radicand below the
+    # floor is injected to reach the check
+    monkeypatch.setattr(closedform, "_lambda_radicand", lambda x, ak: x - 2.0)
+    with pytest.raises(NumericError):
+        closed_batch(3, [0.5], [(0.1, 0.2, 0.3)])
+    with pytest.raises(NumericError):
+        closed_point(3, 0.5, (0.1, 0.2, 0.3))
 
 
 # cross-path equivalence against the generic Kraus route; grid vectors,

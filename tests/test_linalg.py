@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from paulinoise import (
@@ -12,7 +12,9 @@ from paulinoise import (
     inner_product,
     spectrum_entropy,
 )
+from paulinoise import linalg
 from paulinoise.bloch import IDENTITY, SIGMA1, SIGMA2, SIGMA3
+from paulinoise.linalg import hermitian_eigenvalues_batch, spectrum_entropy_batch
 
 _entry = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 
@@ -84,12 +86,16 @@ def test_eigenvalues_reject_wrong_shape():
 
 
 @given(_entry, _entry, _entry, _entry)
+@example(0.0, 0.0, 0.0, 5e-324)
 def test_eigenvalues_match_trace_and_determinant(a, d, b_re, b_im):
+    # det of a Hermitian 2x2 is a*d - |b|^2; np.linalg.det goes through an
+    # LU factorisation that returns nan on subnormal entries such as 5e-324
     m = _hermitian_2x2(a, d, b_re, b_im)
     pair = hermitian_eigenvalues_2x2(m)
     assert pair.hi >= pair.lo
     assert pair.hi + pair.lo == pytest.approx(np.trace(m).real, abs=1e-12)
-    assert pair.hi * pair.lo == pytest.approx(np.linalg.det(m).real, abs=1e-12)
+    det = a * d - (b_re * b_re + b_im * b_im)
+    assert pair.hi * pair.lo == pytest.approx(det, abs=1e-12)
 
 
 @given(_entry, _entry, _entry, _entry)
@@ -151,3 +157,109 @@ def test_spectrum_entropy_rejects_negative_value():
 def test_spectrum_entropy_rejects_value_above_one():
     with pytest.raises(NumericError):
         spectrum_entropy((1.1,))
+
+
+# batched kernels: element-by-element agreement with the scalar kernels,
+# and the same checks on every entry of a stack
+
+
+def _hermitian_batch(rng, n):
+    a, d, b_re, b_im = rng.uniform(-1.0, 1.0, size=(4, n))
+    batch = np.empty((n, 2, 2), dtype=complex)
+    batch[:, 0, 0] = a
+    batch[:, 1, 1] = d
+    batch[:, 0, 1] = b_re + 1j * b_im
+    batch[:, 1, 0] = b_re - 1j * b_im
+    return batch
+
+
+def _edge_hermitian_batch(rng):
+    random = _hermitian_batch(rng, 200)
+    diagonal = random.copy()
+    diagonal[:, 0, 1] = diagonal[:, 1, 0] = 0.0
+    near_degenerate = random.copy()
+    near_degenerate[:, 1, 1] = near_degenerate[:, 0, 0] + rng.uniform(
+        -1e-9, 1e-9, size=200
+    )
+    near_degenerate[:, 0, 1] *= 1e-8
+    near_degenerate[:, 1, 0] *= 1e-8
+    exact = np.array([IDENTITY / 2, SIGMA1, SIGMA2, SIGMA3, np.zeros((2, 2))])
+    return np.concatenate((random, diagonal, near_degenerate, exact))
+
+
+def test_batched_eigenvalues_equal_scalar_kernel():
+    batch = _edge_hermitian_batch(np.random.default_rng(3))
+    spectra = hermitian_eigenvalues_batch(batch.reshape(5, -1, 2, 2))
+    assert spectra.shape == (5, len(batch) // 5, 2)
+    for m, pair in zip(batch, spectra.reshape(-1, 2)):
+        assert tuple(pair) == hermitian_eigenvalues_2x2(m)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[0, 1], [0, 0]], dtype=complex),
+        np.array([[0.5, 0], [0, np.nan]], dtype=complex),
+        np.array([[np.inf, 0], [0, 0.5]], dtype=complex),
+    ],
+)
+def test_batched_eigenvalues_reject_invalid_entry(bad):
+    batch = np.array([IDENTITY / 2, bad, SIGMA3])
+    with pytest.raises(ValidationError):
+        hermitian_eigenvalues_batch(batch)
+    with pytest.raises(ValidationError):
+        hermitian_eigenvalues_2x2(bad)
+
+
+def test_batched_eigenvalues_reject_wrong_shape():
+    with pytest.raises(ValidationError):
+        hermitian_eigenvalues_batch(np.zeros((4, 3, 3)))
+
+
+def test_negative_discriminant_raises_numeric_error(monkeypatch):
+    # A Hermitian matrix cannot produce one, so the Hermiticity gate is
+    # widened to let [[0, 1], [-1, 0]] (discriminant -4) reach the check.
+    monkeypatch.setattr(linalg, "HERMITICITY_TOL", 10.0)
+    skew = np.array([[0, 1], [-1, 0]], dtype=complex)
+    with pytest.raises(NumericError):
+        hermitian_eigenvalues_batch(np.array([IDENTITY / 2, skew]))
+    with pytest.raises(NumericError):
+        hermitian_eigenvalues_2x2(skew)
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        (1.0, 0.0),
+        (0.0, 0.0),
+        (0.5, 0.5),
+        (0.75, 0.25),
+        (1.0, -1e-13),
+        (1.0 + 5e-13, -1e-12),
+        (0.999999999, 1e-9),
+        (1e-300, 1.0),
+    ],
+)
+def test_batched_entropy_matches_scalar(spectrum):
+    batch = np.array([spectrum, (0.3, 0.7), spectrum])
+    values = spectrum_entropy_batch(batch)
+    assert values.shape == (3,)
+    expected = spectrum_entropy(spectrum)
+    assert values[0] == pytest.approx(expected, abs=1e-15)
+    assert values[2] == values[0]
+    assert values[1] == pytest.approx(spectrum_entropy((0.3, 0.7)), abs=1e-15)
+
+
+def test_batched_entropy_matches_scalar_on_random_spectra():
+    hi = np.random.default_rng(8).uniform(0.5, 1.0, size=500)
+    spectra = np.stack((hi, 1.0 - hi), axis=-1)
+    for value, spectrum in zip(spectrum_entropy_batch(spectra), spectra):
+        assert value == pytest.approx(spectrum_entropy(spectrum), abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [(1.0, -1.1e-12), (1.0 + 1.1e-12, 0.0), (1.1, 0.0)])
+def test_batched_entropy_rejects_out_of_range_values(bad):
+    with pytest.raises(NumericError):
+        spectrum_entropy_batch(np.array([(0.5, 0.5), bad]))
+    with pytest.raises(NumericError):
+        spectrum_entropy(bad)
