@@ -128,12 +128,13 @@ def check_density_batch(rhos) -> np.ndarray:
     return rhos
 
 
+def _bloch_of(rho: np.ndarray) -> BlochVector:
+    return BlochVector(*(float(np.vdot(pauli, rho).real) for pauli in SIGMAS))
+
+
 def density_to_bloch(rho) -> BlochVector:
     """Bloch components a_k = Tr(rho sigma_k); inverse of bloch_to_density."""
-    rho = check_density(rho)
-    return BlochVector(
-        *(float(np.trace(rho @ pauli).real) for pauli in SIGMAS)
-    )
+    return _bloch_of(check_density(rho))
 
 
 def state_entropy(a) -> float:

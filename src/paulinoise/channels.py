@@ -121,16 +121,23 @@ def completeness_residual(ch: KrausChannel) -> float:
     return float(np.abs(acc - IDENTITY).max())
 
 
-def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
-    """Channel action sum_i A_i rho A_i^dagger on a density matrix."""
+def _require_valid(ch: KrausChannel, rho) -> np.ndarray:
     residual = completeness_residual(ch)
     if residual > COMPLETENESS_TOL:
         raise ValidationError(
             f"incomplete Kraus set: completeness residual {residual:.3e} "
             f"exceeds {COMPLETENESS_TOL}"
         )
-    rho = check_density(rho)
+    return check_density(rho)
+
+
+def _output_state(ops, rho: np.ndarray) -> np.ndarray:
     out = np.zeros((2, 2), dtype=complex)
-    for op in ch.ops:
+    for op in ops:
         out += op @ rho @ op.conj().T
-    return check_density(out)
+    return out
+
+
+def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
+    """Channel action sum_i A_i rho A_i^dagger on a density matrix."""
+    return check_density(_output_state(ch.ops, _require_valid(ch, rho)))

@@ -3,8 +3,9 @@
 These are transcriptions of the published closed forms, not re-derivations,
 so that the generic Kraus path can cross-validate them and any typo in the
 source formulas surfaces as a residual instead of being silently corrected.
-closed_batch evaluates the same expressions over a grid of retention rates
-and a set of Bloch vectors; the radicands exist once and serve both forms.
+closed_batch evaluates them over a grid of retention rates and a set of
+Bloch vectors; every function of one point except fidelity_paper_closed
+(which the sweep calls per row) is that computation on a batch of one.
 The known case is the axis-2 fidelity, whose printed sign disagrees with
 the trace-form definition; see fidelity_paper_closed.
 """
@@ -12,14 +13,13 @@ the trace-form definition; see fidelity_paper_closed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
 from .bloch import BLOCH_NORM_TOL, BlochVector, check_bloch
 from .channels import PauliAxis, as_axis, check_retention
 from .errors import NumericError, ValidationError
-from .linalg import SpectrumPair, spectrum_entropy, spectrum_entropy_batch
+from .linalg import SpectrumPair, spectrum_entropy_batch
 
 RADICAND_FLOOR = -1e-12
 
@@ -43,13 +43,6 @@ def _domain(axis, x, a) -> tuple[PauliAxis, float, BlochVector]:
     return as_axis(axis), check_retention(x), check_bloch(a)
 
 
-def _axis_split(axis: PauliAxis, a: BlochVector) -> tuple[float, float]:
-    """Component along the channel axis and squared transverse length."""
-    k = axis - 1
-    t1, t2 = (a[i] for i in range(3) if i != k)
-    return a[k], t1 * t1 + t2 * t2
-
-
 def _lambda_radicand(x, ak):
     """1 - 4x(x-1)(a_k^2 - 1), for floats or broadcastable arrays."""
     return 1.0 - 4.0 * x * (x - 1.0) * (ak * ak - 1.0)
@@ -60,46 +53,37 @@ def _theta_radicand(x, ak, transverse_sq):
     return ak * ak + transverse_sq * (1.0 - 2.0 * x) ** 2
 
 
-def _split_unit_spectrum(radicand: float) -> SpectrumPair:
-    if radicand < RADICAND_FLOOR:
-        raise NumericError(f"negative radicand {radicand:.3e}")
-    root = sqrt(max(radicand, 0.0))
-    return SpectrumPair((1.0 + root) / 2.0, (1.0 - root) / 2.0)
+def _closed_one(axis: PauliAxis, x: float, a: BlochVector) -> dict:
+    """Every closed_batch quantity at one validated point, as a batch of one."""
+    arrays = _closed_arrays(axis, np.array([x]), np.array([a]))
+    return {name: values[0, 0].tolist() for name, values in arrays.items()}
 
 
 def bloch_out_closed(axis, x, a) -> BlochVector:
     """Output Bloch vector: the axis component survives unchanged, the
     transverse components shrink by (2x - 1)."""
-    axis, x, a = _domain(axis, x, a)
-    scale = 2.0 * x - 1.0
-    components = [scale * c for c in a]
-    components[axis - 1] = a[axis - 1]
-    return BlochVector(*components)
+    return BlochVector(*_closed_one(*_domain(axis, x, a))["bloch_out"])
 
 
 def lambdas_closed(axis, x, a) -> SpectrumPair:
     """Exchange-matrix spectrum [1 +- sqrt(1 - 4x(x-1)(a_k^2 - 1))]/2."""
-    axis, x, a = _domain(axis, x, a)
-    ak, _ = _axis_split(axis, a)
-    return _split_unit_spectrum(_lambda_radicand(x, ak))
+    return SpectrumPair(*_closed_one(*_domain(axis, x, a))["lambdas"])
 
 
 def thetas_closed(axis, x, a) -> SpectrumPair:
     """Output-state spectrum [1 +- sqrt(a_k^2 + t^2 (1-2x)^2)]/2, where
     t^2 is the squared transverse length of the input Bloch vector."""
-    axis, x, a = _domain(axis, x, a)
-    ak, transverse_sq = _axis_split(axis, a)
-    return _split_unit_spectrum(_theta_radicand(x, ak, transverse_sq))
+    return SpectrumPair(*_closed_one(*_domain(axis, x, a))["thetas"])
 
 
 def noise_closed(axis, x, a) -> float:
     """Quantum noise in bits: binary entropy of the closed-form lambdas."""
-    return spectrum_entropy(lambdas_closed(axis, x, a))
+    return _closed_one(*_domain(axis, x, a))["noise_n"]
 
 
 def coherent_closed(axis, x, a) -> float:
     """Coherent information in bits: output entropy minus noise."""
-    return spectrum_entropy(thetas_closed(axis, x, a)) - noise_closed(axis, x, a)
+    return _closed_one(*_domain(axis, x, a))["coherent_c"]
 
 
 def fidelity_paper_closed(axis, x, a) -> float:
@@ -112,7 +96,7 @@ def fidelity_paper_closed(axis, x, a) -> float:
     discrepancy stays visible.
     """
     axis, x, a = _domain(axis, x, a)
-    ak, _ = _axis_split(axis, a)
+    ak = a[axis - 1]
     sign = -1.0 if axis is PauliAxis.SIGMA2 else 1.0
     return sign * ak * ak * (1.0 - x) + x
 
@@ -120,19 +104,17 @@ def fidelity_paper_closed(axis, x, a) -> float:
 def closed_point(axis, x, a) -> ClosedFormPoint:
     """Bundle every closed-form quantity at one operating point."""
     axis, x, a = _domain(axis, x, a)
-    lambdas = lambdas_closed(axis, x, a)
-    thetas = thetas_closed(axis, x, a)
-    noise = spectrum_entropy(lambdas)
+    values = _closed_one(axis, x, a)
     return ClosedFormPoint(
         axis=axis,
         x=x,
         a=a,
-        b=bloch_out_closed(axis, x, a),
-        lambdas=lambdas,
-        thetas=thetas,
-        noise_n=noise,
-        coherent_c=spectrum_entropy(thetas) - noise,
-        fidelity_paper=fidelity_paper_closed(axis, x, a),
+        b=BlochVector(*values["bloch_out"]),
+        lambdas=SpectrumPair(*values["lambdas"]),
+        thetas=SpectrumPair(*values["thetas"]),
+        noise_n=values["noise_n"],
+        coherent_c=values["coherent_c"],
+        fidelity_paper=values["fidelity_paper"],
     )
 
 
@@ -166,6 +148,11 @@ def closed_batch(axis, x, a) -> dict[str, np.ndarray]:
         raise ValidationError("Bloch vectors have non-finite components")
     if float((a * a).sum(axis=1).max(initial=0.0)) > 1.0 + BLOCH_NORM_TOL:
         raise ValidationError("a Bloch vector is longer than 1")
+    return _closed_arrays(axis, x, a)
+
+
+def _closed_arrays(axis: PauliAxis, x: np.ndarray, a: np.ndarray) -> dict[str, np.ndarray]:
+    """closed_batch on a validated domain."""
     k = axis - 1
     ak = a[:, k]
     t1, t2 = (a[:, i] for i in range(3) if i != k)

@@ -17,24 +17,17 @@ routes over a grid of channels and a set of states at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
 from . import closedform
-from .bloch import SIGMAS, BlochVector, check_density
-from .channels import (
-    COMPLETENESS_TOL,
-    KrausChannel,
-    apply_channel,
-    completeness_residual,
-)
+from .bloch import SIGMAS, BlochVector, _bloch_of
+from .channels import KrausChannel, _output_state, _require_valid
 from .errors import ValidationError
 from .linalg import (
     SpectrumPair,
     hermitian_eigenvalues_2x2,
     hermitian_eigenvalues_batch,
-    inner_product,
     spectrum_entropy,
     spectrum_entropy_batch,
 )
@@ -61,25 +54,8 @@ class ChannelReport:
     mutual_info: float
 
 
-def _require_valid(ch: KrausChannel, rho) -> np.ndarray:
-    residual = completeness_residual(ch)
-    if residual > COMPLETENESS_TOL:
-        raise ValidationError(
-            f"incomplete Kraus set: completeness residual {residual:.3e} "
-            f"exceeds {COMPLETENESS_TOL}"
-        )
-    return check_density(rho)
-
-
-# Internal cores working on pre-validated inputs. The public wrappers always
-# validate; full_report validates once and then reuses these.
-
-
-def _output_state(ops, rho: np.ndarray) -> np.ndarray:
-    out = np.zeros((2, 2), dtype=complex)
-    for op in ops:
-        out += op @ rho @ op.conj().T
-    return out
+# Internal cores working on pre-validated inputs. The public wrappers
+# validate once (channels._require_valid) and then call these.
 
 
 def _w_entries(ops, rho: np.ndarray) -> np.ndarray:
@@ -100,20 +76,17 @@ def _fidelity_sum(ops, rho: np.ndarray) -> float:
     return total
 
 
-def _bloch_of(rho: np.ndarray) -> BlochVector:
-    return BlochVector(*(float(np.vdot(pauli, rho).real) for pauli in SIGMAS))
+def _noise(ops, rho: np.ndarray) -> float:
+    return spectrum_entropy(w_spectrum(_w_entries(ops, rho)))
+
+
+def _entropy(m: np.ndarray) -> float:
+    return spectrum_entropy(hermitian_eigenvalues_2x2(m))
 
 
 def w_matrix(ch: KrausChannel, rho) -> np.ndarray:
     """Exchange matrix with entry (i, j) = Tr(A_i rho A_j^dagger)."""
-    rho = _require_valid(ch, rho)
-    n = len(ch.ops)
-    w = np.empty((n, n), dtype=complex)
-    for i, op_i in enumerate(ch.ops):
-        left = op_i @ rho
-        for j, op_j in enumerate(ch.ops):
-            w[i, j] = inner_product(op_j, left)
-    return w
+    return _w_entries(ch.ops, _require_valid(ch, rho))
 
 
 def w_spectrum(w) -> SpectrumPair:
@@ -130,14 +103,13 @@ def w_spectrum(w) -> SpectrumPair:
 
 def entropy_exchange(ch: KrausChannel, rho) -> float:
     """Quantum noise N in bits: entropy of the exchange-matrix spectrum."""
-    return spectrum_entropy(w_spectrum(w_matrix(ch, rho)))
+    return _noise(ch.ops, _require_valid(ch, rho))
 
 
 def coherent_information(ch: KrausChannel, rho) -> float:
     """Output-state entropy minus entropy exchange, in bits."""
-    out = apply_channel(ch, rho)
-    h_out = spectrum_entropy(hermitian_eigenvalues_2x2(out))
-    return h_out - entropy_exchange(ch, rho)
+    rho = _require_valid(ch, rho)
+    return _entropy(_output_state(ch.ops, rho)) - _noise(ch.ops, rho)
 
 
 def entangled_fidelity(ch: KrausChannel, rho) -> float:
@@ -150,32 +122,7 @@ def entangled_fidelity(ch: KrausChannel, rho) -> float:
 def mutual_information(ch: KrausChannel, rho) -> float:
     """Input entropy plus output entropy minus entropy exchange, in bits."""
     rho = _require_valid(ch, rho)
-    h_in = spectrum_entropy(hermitian_eigenvalues_2x2(rho))
-    out = apply_channel(ch, rho)
-    h_out = spectrum_entropy(hermitian_eigenvalues_2x2(out))
-    return h_in + h_out - entropy_exchange(ch, rho)
-
-
-def _eigensystem_2x2(rho: np.ndarray) -> tuple[SpectrumPair, tuple[np.ndarray, np.ndarray]]:
-    """Closed-form spectral decomposition of a 2x2 Hermitian matrix.
-
-    The top eigenvector comes from the better-conditioned of the two
-    analytic expressions; the second is its exact orthogonal complement,
-    so the pair stays orthonormal even for nearly degenerate spectra.
-    Within a hair of exact degeneracy any orthonormal basis diagonalizes
-    the matrix to working precision, so the standard basis is used.
-    """
-    vals = hermitian_eigenvalues_2x2(rho)
-    if vals.hi - vals.lo <= 1e-13:
-        basis = np.eye(2, dtype=complex)
-        return vals, (basis[:, 0], basis[:, 1])
-    off = complex(rho[0, 1])
-    v1 = np.array([off, vals.hi - rho[0, 0].real], dtype=complex)
-    v2 = np.array([vals.hi - rho[1, 1].real, off.conjugate()], dtype=complex)
-    v_hi = v1 if np.vdot(v1, v1).real >= np.vdot(v2, v2).real else v2
-    v_hi = v_hi / sqrt(np.vdot(v_hi, v_hi).real)
-    v_lo = np.array([-v_hi[1].conjugate(), v_hi[0].conjugate()])
-    return vals, (v_hi, v_lo)
+    return _entropy(rho) + _entropy(_output_state(ch.ops, rho)) - _noise(ch.ops, rho)
 
 
 def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
@@ -184,27 +131,16 @@ def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
     The channel is realized as the isometry V psi = sum_i (A_i psi) x |i>,
     each eigenvector of rho is pushed through V, the system is traced out,
     and the entropy of the resulting environment state is returned. Must
-    agree with entropy_exchange for every valid input.
+    agree with entropy_exchange for every valid input. A single-operator
+    channel is padded with a zero operator, which adds no entropy.
     """
     rho = _require_valid(ch, rho)
-    n = len(ch.ops)
-    if n > 2:
+    if len(ch.ops) > 2:
         raise ValidationError(
             "environment spectra beyond two Kraus operators are out of scope"
         )
-    probs, vectors = _eigensystem_2x2(rho)
-    iso = np.zeros((2 * n, 2), dtype=complex)
-    for e, op in enumerate(ch.ops):
-        iso[e::n, :] = op  # joint index (s, e) -> s * n + e
-    env = np.zeros((n, n), dtype=complex)
-    for p, vec in zip(probs, vectors):
-        if p <= 0.0:  # clamped rounding zeros contribute nothing
-            continue
-        joint = (iso @ vec).reshape(2, n)
-        env += p * (joint.T @ joint.conj())
-    if n == 1:
-        return spectrum_entropy((env[0, 0].real,))
-    return spectrum_entropy(hermitian_eigenvalues_2x2(env))
+    ops = ch.ops + (np.zeros((2, 2), dtype=complex),) * (2 - len(ch.ops))
+    return float(environment_entropy_oracle_batch(np.array([ops]), rho[None])[0, 0])
 
 
 def full_report(ch: KrausChannel, rho) -> ChannelReport:
@@ -274,8 +210,16 @@ def report_batch(kraus: np.ndarray, rhos: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _eigensystem_batch(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_eigensystem_2x2 over a stack of states: spectra of shape (S, 2) and
-    eigenvectors of shape (S, 2, 2) indexed [state, hi/lo, component]."""
+    """Closed-form spectral decomposition of a stack of 2x2 Hermitian
+    matrices: spectra of shape (S, 2) and eigenvectors of shape (S, 2, 2)
+    indexed [state, hi/lo, component].
+
+    The top eigenvector comes from the better-conditioned of the two
+    analytic expressions; the second is its exact orthogonal complement,
+    so the pair stays orthonormal even for nearly degenerate spectra.
+    Within a hair of exact degeneracy any orthonormal basis diagonalizes
+    the matrix to working precision, so the standard basis is used.
+    """
     vals = hermitian_eigenvalues_batch(rhos)
     hi = vals[:, 0]
     off = rhos[:, 0, 1]
