@@ -44,8 +44,9 @@ def _domain(axis, x, a) -> tuple[PauliAxis, float, BlochVector]:
 
 
 def _lambda_radicand(x, ak):
-    """1 - 4x(x-1)(a_k^2 - 1), for floats or broadcastable arrays."""
-    return 1.0 - 4.0 * x * (x - 1.0) * (ak * ak - 1.0)
+    """1 - 4x(x-1)(a_k^2 - 1) as (2x-1)^2 + 4x(1-x) a_k^2, which keeps a
+    tiny radicand (x near 1/2, tiny a_k) accurate; floats or arrays."""
+    return (2.0 * x - 1.0) ** 2 + 4.0 * x * (1.0 - x) * (ak * ak)
 
 
 def _theta_radicand(x, ak, transverse_sq):

@@ -1,4 +1,8 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and the 50-digit reference for the test suite."""
+
+import importlib.util
+from functools import cache
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -18,23 +22,6 @@ def bloch_vectors():
     )
 
 
-def grid_bloch_vectors():
-    """Ball vectors with components on the grid k/128 (zero included).
-
-    The transcribed closed-form radicands lose absolute accuracy once a
-    component sits in the open band (0, ~1e-4), a region the seeded
-    uniform sampling of the verifier never reaches. The grid keeps
-    cross-path property tests inside the closed forms' working range
-    while still covering signs, zeros and pure states.
-    """
-    k = st.integers(min_value=-128, max_value=128)
-    return (
-        st.tuples(k, k, k)
-        .filter(lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 <= 128 * 128)
-        .map(lambda v: BlochVector(v[0] / 128.0, v[1] / 128.0, v[2] / 128.0))
-    )
-
-
 def retentions():
     """Retention rates in [0, 1], endpoints included."""
     return st.floats(
@@ -44,3 +31,28 @@ def retentions():
 
 def axes():
     return st.sampled_from(list(PauliAxis))
+
+
+REFERENCE_PATH = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+
+
+@cache
+def reference():
+    """The benchmark's 50-digit mpmath recomputation of every reported
+    quantity (bench/reference.py), loaded in place from its path."""
+    spec = importlib.util.spec_from_file_location("paulinoise_reference", REFERENCE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_values(axis, x, a) -> dict:
+    """The reference at one point as doubles, keyed by the route-array
+    quantity names; the spectra are (hi, lo) pairs."""
+    ref = reference().point(int(axis), x, a)
+    values = {name: float(ref[name]) for name in (
+        "noise_n", "coherent_c", "fidelity_numeric", "fidelity_paper")}
+    values["bloch_out"] = tuple(float(c) for c in ref["bloch_out"])
+    values["lambdas"] = (float(ref["lambda_hi"]), float(ref["lambda_lo"]))
+    values["thetas"] = (float(ref["theta_hi"]), float(ref["theta_lo"]))
+    return values

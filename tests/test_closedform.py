@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from helpers import axes, bloch_vectors, grid_bloch_vectors, retentions
+from helpers import axes, bloch_vectors, reference_values, retentions
 from paulinoise import (
     BlochVector,
     ValidationError,
@@ -15,6 +15,7 @@ from paulinoise import (
     entangled_fidelity,
     entropy_exchange,
     fidelity_paper_closed,
+    full_report,
     lambdas_closed,
     make_one_pauli,
     noise_closed,
@@ -181,13 +182,30 @@ def test_batched_radicand_floor(monkeypatch):
         closed_point(3, 0.5, (0.1, 0.2, 0.3))
 
 
-# cross-path equivalence against the generic Kraus route; grid vectors,
-# because the faithfully transcribed radicands cannot beat double rounding
-# for components inside (0, ~1e-4)
+@pytest.mark.parametrize(
+    "axis, x, a",
+    [
+        (2, 0.5, (-2.3e-8, 7.4e-9, 4.8e-8)),
+        (1, 0.499999999, (1e-12, 0.0, 0.0)),
+    ],
+)
+def test_lambdas_accurate_for_tiny_axis_component(axis, x, a):
+    # near x = 1/2 with a tiny a_k the lambda radicand is tiny itself; the
+    # printed form 1 - 4x(x-1)(a_k^2 - 1) left it off by 1e-16 and lambda
+    # off by up to 3.7e-9
+    want = reference_values(axis, x, a)["lambdas"]
+    have = lambdas_closed(axis, x, a)
+    assert abs(have.lo - want[1]) <= 1e-15
+    assert abs(have.hi - want[0]) <= 1e-15
+    kraus = full_report(make_one_pauli(axis, x), bloch_to_density(a)).lambdas
+    assert abs(have.lo - kraus.lo) <= 1e-15
+
+
+# cross-path equivalence against the generic Kraus route
 
 
 @settings(max_examples=80, deadline=None)
-@given(axes(), retentions(), grid_bloch_vectors())
+@given(axes(), retentions(), bloch_vectors())
 def test_closed_forms_match_generic_path(axis, x, a):
     ch = make_one_pauli(axis, x)
     rho = bloch_to_density(a)

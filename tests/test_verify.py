@@ -1,20 +1,26 @@
-"""The batched verification engine against the scalar public API.
+"""The batched verification engine against the scalar public API and the
+50-digit reference.
 
-Grid 11 puts x = 0, 1/2 and 1 on the grid. Each route array must match the
-per-point scalar functions, the report must be exactly the reduction of the
-route arrays, and the gate must fail once one route drifts by 2e-10.
+Grid 11 puts x = 0, 1/2 and 1 on the grid. The Kraus route arrays must
+match full_report point by point, the closed-form and oracle arrays the
+mpmath reference (the scalar closed forms and oracle are the same kernels
+on a batch of one, so they cannot serve as a reference). The report must be
+exactly the reduction of the route arrays, and the gate must fail once one
+route drifts by 2e-10. At the domain edges every route must match the
+reference within 1e-13.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
+from helpers import reference_values
 from paulinoise import (
     BlochVector,
     bloch_to_density,
-    closed_point,
     closedform,
     completeness_residual,
-    environment_entropy_oracle,
     full_report,
     make_one_pauli,
     measures,
@@ -54,11 +60,10 @@ def _axis_states(seed):
 
 
 def _scalar_point(axis, x, a):
-    """Every route value at one point, from the scalar public API."""
-    ch = make_one_pauli(axis, x)
-    rho = bloch_to_density(a)
-    rep = full_report(ch, rho)
-    point = closed_point(axis, x, a)
+    """Every route value at one point: the Kraus route from full_report,
+    the closed-form and oracle values from the 50-digit reference."""
+    rep = full_report(make_one_pauli(axis, x), bloch_to_density(a))
+    ref = reference_values(axis, x, a)
     ak = a[axis - 1]
     predicted = 2.0 * (1.0 - x) * a.a2 * a.a2 if axis is PauliAxis.SIGMA2 else 0.0
     return {
@@ -68,13 +73,13 @@ def _scalar_point(axis, x, a):
         "kraus.noise_n": rep.noise_n,
         "kraus.coherent_c": rep.coherent_c,
         "kraus.fidelity_numeric": rep.fidelity_numeric,
-        "closed.bloch_out": tuple(point.b),
-        "closed.lambdas": tuple(point.lambdas),
-        "closed.thetas": tuple(point.thetas),
-        "closed.noise_n": point.noise_n,
-        "closed.coherent_c": point.coherent_c,
-        "closed.fidelity_paper": point.fidelity_paper,
-        "oracle.noise_n": environment_entropy_oracle(ch, rho),
+        "closed.bloch_out": ref["bloch_out"],
+        "closed.lambdas": ref["lambdas"],
+        "closed.thetas": ref["thetas"],
+        "closed.noise_n": ref["noise_n"],
+        "closed.coherent_c": ref["coherent_c"],
+        "closed.fidelity_paper": ref["fidelity_paper"],
+        "oracle.noise_n": ref["noise_n"],
         "identity.fidelity": x + (1.0 - x) * ak * ak,
         "identity.fidelity_gap": predicted,
         "fidelity_gap": rep.fidelity_numeric - rep.fidelity_paper,
@@ -97,6 +102,60 @@ def test_route_arrays_match_scalar_api(seed):
                     assert np.max(np.abs(have - np.array(want))) <= ROUTE_TOL, (
                         axis, x, a, name, have, want,
                     )
+
+
+EDGE_X = [0.0, 1e-9, *(k / 10 for k in range(1, 10)),
+          0.5 - 1e-9, 0.5 + 1e-9, 1.0 - 1e-9, 1.0]
+EDGE_MAGNITUDES = (0.0, 1e-12, 1e-8, 1e-4)
+PURE_STATES = [
+    BlochVector(1.0, 0.0, 0.0),
+    BlochVector(0.0, -1.0, 0.0),
+    BlochVector(0.0, 0.0, 1.0),
+    BlochVector(0.6, -0.8, 0.0),
+    BlochVector(0.48, 0.6, 0.64),
+]
+# route array -> reference quantity; of a spectrum the lo entry is compared
+EDGE_ROUTES = {
+    "kraus.lambdas": "lambdas",
+    "closed.lambdas": "lambdas",
+    "kraus.thetas": "thetas",
+    "closed.thetas": "thetas",
+    "kraus.noise_n": "noise_n",
+    "closed.noise_n": "noise_n",
+    "oracle.noise_n": "noise_n",
+    "kraus.coherent_c": "coherent_c",
+    "closed.coherent_c": "coherent_c",
+    "kraus.fidelity_numeric": "fidelity_numeric",
+    "closed.fidelity_paper": "fidelity_paper",
+}
+
+
+def _edge_states():
+    """Every combination of the edge magnitudes, signed (+, -, +) and
+    (-, +, -), followed by pure states."""
+    states = [
+        BlochVector(*(sign * m for sign, m in zip(signs, magnitudes)))
+        for magnitudes in itertools.product(EDGE_MAGNITUDES, repeat=3)
+        for signs in ((1.0, -1.0, 1.0), (-1.0, 1.0, -1.0))
+    ]
+    return states + PURE_STATES
+
+
+@pytest.mark.parametrize("axis", list(PauliAxis), ids=lambda axis: axis.token)
+def test_routes_match_reference_at_domain_edges(axis):
+    states = _edge_states()
+    routes = axis_routes(axis, EDGE_X, states)
+    ref = [[reference_values(axis, x, a) for a in states] for x in EDGE_X]
+    for route, quantity in EDGE_ROUTES.items():
+        have = routes[route]
+        want = np.array([[point[quantity] for point in row] for row in ref])
+        if have.ndim == 3:
+            have, want = have[..., 1], want[..., 1]
+        error = np.abs(have - want)
+        g, s = np.unravel_index(np.argmax(error), error.shape)
+        assert error[g, s] <= ROUTE_TOL, (
+            route, EDGE_X[g], states[s], have[g, s], want[g, s],
+        )
 
 
 def _loop_reduction(axis, grid, states):
