@@ -1,9 +1,11 @@
 """One-Pauli qubit noise channels and their information measures.
 
 The package models the bit-flip, bit-phase-flip and phase-flip channels as
-Kraus maps, computes quantum noise (entropy exchange), coherent information,
-entangled fidelity and mutual information, and cross-validates the per-channel
-closed-form expressions against the generic numeric path.
+Kraus maps and computes quantum noise (entropy exchange), coherent
+information, entangled fidelity and mutual information by three routes,
+each with one scalar entry point: full_report (Kraus numerics),
+closed_point (the published closed forms) and environment_entropy_oracle
+(the system-environment dilation).
 """
 
 from .bloch import (
@@ -25,35 +27,23 @@ from .channels import (
 )
 from .closedform import (
     ClosedFormPoint,
-    bloch_out_closed,
     closed_point,
-    coherent_closed,
     fidelity_paper_closed,
-    lambdas_closed,
-    noise_closed,
-    thetas_closed,
 )
 from .errors import NumericError, ValidationError
 from .linalg import (
     SpectrumPair,
     hermitian_eigenvalues_2x2,
-    hermiticity_residual,
-    inner_product,
     spectrum_entropy,
 )
 from .measures import (
     ChannelReport,
-    coherent_information,
-    entangled_fidelity,
-    entropy_exchange,
     environment_entropy_oracle,
     full_report,
-    mutual_information,
     w_matrix,
-    w_spectrum,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BlochVector",
@@ -65,32 +55,20 @@ __all__ = [
     "SpectrumPair",
     "ValidationError",
     "apply_channel",
-    "bloch_out_closed",
     "bloch_to_density",
     "check_bloch",
     "check_density",
     "check_retention",
     "closed_point",
-    "coherent_closed",
-    "coherent_information",
     "completeness_residual",
     "density_to_bloch",
-    "entangled_fidelity",
-    "entropy_exchange",
     "environment_entropy_oracle",
     "fidelity_paper_closed",
     "full_report",
     "hermitian_eigenvalues_2x2",
-    "hermiticity_residual",
-    "inner_product",
-    "lambdas_closed",
     "make_one_pauli",
-    "mutual_information",
-    "noise_closed",
     "parse_bloch",
     "spectrum_entropy",
     "state_entropy",
-    "thetas_closed",
     "w_matrix",
-    "w_spectrum",
 ]

@@ -15,12 +15,10 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import (
     EIGENVALUE_FLOOR,
-    HERMITICITY_TOL,
     SpectrumPair,
     as_matrix,
     hermitian_eigenvalues_2x2,
     hermitian_eigenvalues_batch,
-    hermiticity_residual,
     spectrum_entropy,
 )
 
@@ -88,19 +86,15 @@ def bloch_to_density(a) -> np.ndarray:
 
 
 def check_density(rho) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a 2x2 state."""
+    """Validate Hermiticity (inside the eigenvalue kernel), unit trace and
+    positivity of a 2x2 state."""
     rho = as_matrix(rho, "density matrix")
     if rho.shape != (2, 2):
         raise ValidationError(f"density matrix must be 2x2, got {rho.shape}")
-    residual = hermiticity_residual(rho)
-    if residual > HERMITICITY_TOL:
-        raise ValidationError(
-            f"density matrix not Hermitian: residual {residual:.3e}"
-        )
+    spectrum = hermitian_eigenvalues_2x2(rho)
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValidationError(f"density matrix trace {trace:.15g} != 1")
-    spectrum = hermitian_eigenvalues_2x2(rho)
     if spectrum.lo < EIGENVALUE_FLOOR:
         raise ValidationError(
             f"density matrix has negative eigenvalue {spectrum.lo:.3e}"

@@ -25,6 +25,8 @@ from .linalg import as_matrix
 
 COMPLETENESS_TOL = 1e-13
 
+_ZERO = np.zeros((2, 2), dtype=complex)
+
 
 class PauliAxis(IntEnum):
     """Which Pauli error the channel applies with probability 1 - x."""
@@ -99,9 +101,6 @@ class KrausChannel:
         if self.x is not None:
             object.__setattr__(self, "x", check_retention(self.x))
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
 
 def make_one_pauli(axis, x) -> KrausChannel:
     """Build the one-Pauli channel [A1, A2] for the given axis and rate."""
@@ -129,6 +128,17 @@ def _require_valid(ch: KrausChannel, rho) -> np.ndarray:
             f"exceeds {COMPLETENESS_TOL}"
         )
     return check_density(rho)
+
+
+def _kraus_pair(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
+    """The channel's Kraus operators as exactly two, a single operator
+    padded with a zero one, which changes no measure; the spectral routes
+    cover no more than two."""
+    if len(ch.ops) > 2:
+        raise ValidationError(
+            f"spectra beyond two Kraus operators are out of scope, got {len(ch.ops)}"
+        )
+    return ch.ops + (_ZERO,) * (2 - len(ch.ops))
 
 
 def _output_state(ops, rho: np.ndarray) -> np.ndarray:

@@ -101,7 +101,7 @@ def format_verification(report: VerificationReport) -> str:
             f"[{av.axis.token}] reference input "
             f"{format_bloch(REFERENCE_STATES[av.axis], 12)}"
         )
-        for name, value in av.residuals().items():
+        for name, value in av.residuals.items():
             lines.append(f"  residual {name:<18} = {value:.3e}")
         lines.append(f"  completeness residual       = {av.completeness_max:.3e}")
         if av.axis is PauliAxis.SIGMA2:

@@ -4,8 +4,8 @@ These are transcriptions of the published closed forms, not re-derivations,
 so that the generic Kraus path can cross-validate them and any typo in the
 source formulas surfaces as a residual instead of being silently corrected.
 closed_batch evaluates them over a grid of retention rates and a set of
-Bloch vectors; every function of one point except fidelity_paper_closed
-(which the sweep calls per row) is that computation on a batch of one.
+Bloch vectors; closed_point is that computation on a batch of one, and
+fidelity_paper_closed, which the sweep calls per row, its scalar form.
 The known case is the axis-2 fidelity, whose printed sign disagrees with
 the trace-form definition; see fidelity_paper_closed.
 """
@@ -26,7 +26,15 @@ RADICAND_FLOOR = -1e-12
 
 @dataclass(frozen=True)
 class ClosedFormPoint:
-    """All closed-form quantities at one operating point (axis, x, a)."""
+    """All closed-form quantities at one operating point (axis, x, a), as
+    printed, with k the channel axis and t^2 = |a|^2 - a_k^2:
+
+    b keeps a_k and scales the transverse components by (2x - 1);
+    lambdas = [1 +- sqrt(1 - 4x(x-1)(a_k^2 - 1))]/2, the exchange matrix's;
+    thetas = [1 +- sqrt(a_k^2 + t^2 (1-2x)^2)]/2, the output state's;
+    noise_n is the binary entropy of lambdas in bits, coherent_c that of
+    thetas minus noise_n; fidelity_paper is fidelity_paper_closed.
+    """
 
     axis: PauliAxis
     x: float
@@ -54,47 +62,14 @@ def _theta_radicand(x, ak, transverse_sq):
     return ak * ak + transverse_sq * (1.0 - 2.0 * x) ** 2
 
 
-def _closed_one(axis: PauliAxis, x: float, a: BlochVector) -> dict:
-    """Every closed_batch quantity at one validated point, as a batch of one."""
-    arrays = _closed_arrays(axis, np.array([x]), np.array([a]))
-    return {name: values[0, 0].tolist() for name, values in arrays.items()}
-
-
-def bloch_out_closed(axis, x, a) -> BlochVector:
-    """Output Bloch vector: the axis component survives unchanged, the
-    transverse components shrink by (2x - 1)."""
-    return BlochVector(*_closed_one(*_domain(axis, x, a))["bloch_out"])
-
-
-def lambdas_closed(axis, x, a) -> SpectrumPair:
-    """Exchange-matrix spectrum [1 +- sqrt(1 - 4x(x-1)(a_k^2 - 1))]/2."""
-    return SpectrumPair(*_closed_one(*_domain(axis, x, a))["lambdas"])
-
-
-def thetas_closed(axis, x, a) -> SpectrumPair:
-    """Output-state spectrum [1 +- sqrt(a_k^2 + t^2 (1-2x)^2)]/2, where
-    t^2 is the squared transverse length of the input Bloch vector."""
-    return SpectrumPair(*_closed_one(*_domain(axis, x, a))["thetas"])
-
-
-def noise_closed(axis, x, a) -> float:
-    """Quantum noise in bits: binary entropy of the closed-form lambdas."""
-    return _closed_one(*_domain(axis, x, a))["noise_n"]
-
-
-def coherent_closed(axis, x, a) -> float:
-    """Coherent information in bits: output entropy minus noise."""
-    return _closed_one(*_domain(axis, x, a))["coherent_c"]
-
-
 def fidelity_paper_closed(axis, x, a) -> float:
     """Closed-form fidelity as printed: a_k^2 (1-x) + x for axes 1 and 3,
     but -a_2^2 (1-x) + x for axis 2.
 
     The axis-2 sign is reproduced verbatim even though the trace-form
-    fidelity is non-negative by construction; entangled_fidelity carries
-    the trace-form value and both are reported side by side so the
-    discrepancy stays visible.
+    fidelity is non-negative by construction; full_report's
+    fidelity_numeric carries the trace-form value and both are reported
+    side by side so the discrepancy stays visible.
     """
     axis, x, a = _domain(axis, x, a)
     ak = a[axis - 1]
@@ -103,9 +78,13 @@ def fidelity_paper_closed(axis, x, a) -> float:
 
 
 def closed_point(axis, x, a) -> ClosedFormPoint:
-    """Bundle every closed-form quantity at one operating point."""
+    """Every closed-form quantity at one operating point: closed_batch's
+    kernel on a batch of one, after validating the point."""
     axis, x, a = _domain(axis, x, a)
-    values = _closed_one(axis, x, a)
+    values = {
+        name: array[0, 0].tolist()
+        for name, array in _closed_arrays(axis, np.array([x]), np.array([a])).items()
+    }
     return ClosedFormPoint(
         axis=axis,
         x=x,

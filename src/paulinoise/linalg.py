@@ -40,23 +40,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def inner_product(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr(a^dagger b)."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ValidationError(
-            f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}"
-        )
-    return complex(np.trace(a.conj().T @ b))
-
-
-def hermiticity_residual(m) -> float:
-    """Largest absolute entry of m - m^dagger; 0 for Hermitian input."""
-    m = as_matrix(m)
-    return float(np.abs(m - m.conj().T).max())
-
-
 def hermitian_eigenvalues_2x2(m) -> SpectrumPair:
     """Eigenvalues of a 2x2 Hermitian matrix via (t +- sqrt(t^2 - 4d))/2.
 

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import closedform
 from .bloch import SIGMAS, BlochVector, _bloch_of
-from .channels import KrausChannel, _output_state, _require_valid
-from .errors import ValidationError
+from .channels import KrausChannel, _kraus_pair, _output_state, _require_valid
 from .linalg import (
     SpectrumPair,
     hermitian_eigenvalues_2x2,
@@ -54,7 +53,7 @@ class ChannelReport:
     mutual_info: float
 
 
-# Internal cores working on pre-validated inputs. The public wrappers
+# Internal cores working on pre-validated inputs. The public functions
 # validate once (channels._require_valid) and then call these.
 
 
@@ -76,53 +75,9 @@ def _fidelity_sum(ops, rho: np.ndarray) -> float:
     return total
 
 
-def _noise(ops, rho: np.ndarray) -> float:
-    return spectrum_entropy(w_spectrum(_w_entries(ops, rho)))
-
-
-def _entropy(m: np.ndarray) -> float:
-    return spectrum_entropy(hermitian_eigenvalues_2x2(m))
-
-
 def w_matrix(ch: KrausChannel, rho) -> np.ndarray:
     """Exchange matrix with entry (i, j) = Tr(A_i rho A_j^dagger)."""
     return _w_entries(ch.ops, _require_valid(ch, rho))
-
-
-def w_spectrum(w) -> SpectrumPair:
-    """Eigenvalues of an exchange matrix, descending."""
-    w = np.asarray(w, dtype=complex)
-    if w.shape == (1, 1):
-        return SpectrumPair(float(w[0, 0].real), 0.0)
-    if w.shape == (2, 2):
-        return hermitian_eigenvalues_2x2(w)
-    raise ValidationError(
-        f"exchange spectra beyond 2x2 are out of scope, got {w.shape}"
-    )
-
-
-def entropy_exchange(ch: KrausChannel, rho) -> float:
-    """Quantum noise N in bits: entropy of the exchange-matrix spectrum."""
-    return _noise(ch.ops, _require_valid(ch, rho))
-
-
-def coherent_information(ch: KrausChannel, rho) -> float:
-    """Output-state entropy minus entropy exchange, in bits."""
-    rho = _require_valid(ch, rho)
-    return _entropy(_output_state(ch.ops, rho)) - _noise(ch.ops, rho)
-
-
-def entangled_fidelity(ch: KrausChannel, rho) -> float:
-    """sum_mu |Tr(rho A_mu)|^2; for Hermitian rho this equals the product
-    form (Tr rho A_mu)(Tr rho A_mu^dagger). Always in [0, 1]."""
-    rho = _require_valid(ch, rho)
-    return _fidelity_sum(ch.ops, rho)
-
-
-def mutual_information(ch: KrausChannel, rho) -> float:
-    """Input entropy plus output entropy minus entropy exchange, in bits."""
-    rho = _require_valid(ch, rho)
-    return _entropy(rho) + _entropy(_output_state(ch.ops, rho)) - _noise(ch.ops, rho)
 
 
 def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
@@ -131,16 +86,11 @@ def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
     The channel is realized as the isometry V psi = sum_i (A_i psi) x |i>,
     each eigenvector of rho is pushed through V, the system is traced out,
     and the entropy of the resulting environment state is returned. Must
-    agree with entropy_exchange for every valid input. A single-operator
-    channel is padded with a zero operator, which adds no entropy.
+    agree with full_report's noise_n for every valid input.
     """
     rho = _require_valid(ch, rho)
-    if len(ch.ops) > 2:
-        raise ValidationError(
-            "environment spectra beyond two Kraus operators are out of scope"
-        )
-    ops = ch.ops + (np.zeros((2, 2), dtype=complex),) * (2 - len(ch.ops))
-    return float(environment_entropy_oracle_batch(np.array([ops]), rho[None])[0, 0])
+    kraus = np.array([_kraus_pair(ch)])
+    return float(environment_entropy_oracle_batch(kraus, rho[None])[0, 0])
 
 
 def full_report(ch: KrausChannel, rho) -> ChannelReport:
@@ -151,12 +101,13 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
     eigenvalue floor) on everything derived from it.
     """
     rho = _require_valid(ch, rho)
+    ops = _kraus_pair(ch)
     bloch_in = _bloch_of(rho)
     h_in = spectrum_entropy(hermitian_eigenvalues_2x2(rho))
-    out = _output_state(ch.ops, rho)
+    out = _output_state(ops, rho)
     thetas = hermitian_eigenvalues_2x2(out)
     h_out = spectrum_entropy(thetas)
-    lambdas = w_spectrum(_w_entries(ch.ops, rho))
+    lambdas = hermitian_eigenvalues_2x2(_w_entries(ops, rho))
     noise_n = spectrum_entropy(lambdas)
     fidelity_paper = None
     if ch.axis is not None and ch.x is not None:
@@ -169,7 +120,7 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
         h_out=h_out,
         noise_n=noise_n,
         coherent_c=h_out - noise_n,
-        fidelity_numeric=_fidelity_sum(ch.ops, rho),
+        fidelity_numeric=_fidelity_sum(ops, rho),
         fidelity_paper=fidelity_paper,
         lambdas=lambdas,
         thetas=thetas,

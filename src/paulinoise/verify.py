@@ -40,19 +40,19 @@ REFERENCE_STATES = {
     PauliAxis.SIGMA3: BlochVector(0.6, 0.6, 0.5),
 }
 
-# AxisVerification field -> the two route arrays whose largest absolute
-# difference it reports. Keys are "route.quantity"; the identity route
-# holds the fidelity formulas x + (1-x) a_k^2 and, for the axis-2 gap
-# F_numeric - F_paper, its predicted value 2(1-x) a2^2.
+# Residual label, as verify prints it -> the two route arrays whose largest
+# absolute difference it reports. Route arrays are keyed "route.quantity";
+# the identity route holds the fidelity formulas x + (1-x) a_k^2 and, for
+# the axis-2 gap F_numeric - F_paper, its predicted value 2(1-x) a2^2.
 RESIDUAL_ROUTES = {
-    "residual_bloch": ("kraus.bloch_out", "closed.bloch_out"),
-    "residual_lambda": ("kraus.lambdas", "closed.lambdas"),
-    "residual_theta": ("kraus.thetas", "closed.thetas"),
-    "residual_noise": ("kraus.noise_n", "closed.noise_n"),
-    "residual_coherent": ("kraus.coherent_c", "closed.coherent_c"),
-    "residual_oracle": ("kraus.noise_n", "oracle.noise_n"),
-    "residual_fidelity_identity": ("kraus.fidelity_numeric", "identity.fidelity"),
-    "residual_fidelity_closed": ("fidelity_gap", "identity.fidelity_gap"),
+    "bloch_out": ("kraus.bloch_out", "closed.bloch_out"),
+    "lambda": ("kraus.lambdas", "closed.lambdas"),
+    "theta": ("kraus.thetas", "closed.thetas"),
+    "noise": ("kraus.noise_n", "closed.noise_n"),
+    "coherent": ("kraus.coherent_c", "closed.coherent_c"),
+    "oracle_vs_w": ("kraus.noise_n", "oracle.noise_n"),
+    "fidelity_identity": ("kraus.fidelity_numeric", "identity.fidelity"),
+    "fidelity_closed": ("fidelity_gap", "identity.fidelity_gap"),
 }
 
 
@@ -64,14 +64,7 @@ class AxisVerification:
     negative."""
 
     axis: PauliAxis
-    residual_bloch: float = 0.0
-    residual_lambda: float = 0.0
-    residual_theta: float = 0.0
-    residual_noise: float = 0.0
-    residual_coherent: float = 0.0
-    residual_oracle: float = 0.0
-    residual_fidelity_identity: float = 0.0
-    residual_fidelity_closed: float = 0.0
+    residuals: dict[str, float]  # keyed as RESIDUAL_ROUTES
     completeness_max: float = 0.0
     gap_max: float = 0.0
     gap_predicted_at_max: float = 0.0
@@ -84,18 +77,6 @@ class AxisVerification:
     c_positive_at_x0: bool = False
     c_positive_at_x1: bool = False
 
-    def residuals(self) -> dict[str, float]:
-        return {
-            "bloch_out": self.residual_bloch,
-            "lambda": self.residual_lambda,
-            "theta": self.residual_theta,
-            "noise": self.residual_noise,
-            "coherent": self.residual_coherent,
-            "oracle_vs_w": self.residual_oracle,
-            "fidelity_identity": self.residual_fidelity_identity,
-            "fidelity_closed": self.residual_fidelity_closed,
-        }
-
     @property
     def endpoints_c_positive(self) -> bool:
         return self.c_positive_at_x0 and self.c_positive_at_x1
@@ -103,7 +84,7 @@ class AxisVerification:
     @property
     def passed(self) -> bool:
         return (
-            max(self.residuals().values()) <= RESIDUAL_LIMIT
+            max(self.residuals.values()) <= RESIDUAL_LIMIT
             and self.completeness_max <= COMPLETENESS_TOL
         )
 
@@ -117,7 +98,7 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max(max(av.residuals().values()) for av in self.axes)
+        return max(max(av.residuals.values()) for av in self.axes)
 
     @property
     def passed(self) -> bool:
@@ -181,9 +162,10 @@ def axis_routes(
 def reduce_routes(axis: PauliAxis, routes: dict[str, np.ndarray]) -> AxisVerification:
     """Residual maxima and C sign counts of one axis; the last state is the
     axis's reference input."""
-    av = AxisVerification(axis=axis)
-    for name, (route_a, route_b) in RESIDUAL_ROUTES.items():
-        setattr(av, name, float(np.max(np.abs(routes[route_a] - routes[route_b]))))
+    av = AxisVerification(axis=axis, residuals={
+        name: float(np.max(np.abs(routes[route_a] - routes[route_b])))
+        for name, (route_a, route_b) in RESIDUAL_ROUTES.items()
+    })
     av.completeness_max = float(routes["completeness"].max())
 
     gap = routes["fidelity_gap"]

@@ -1,12 +1,15 @@
-"""Shared hypothesis strategies and the 50-digit reference for the test suite."""
+"""Shared hypothesis strategies, the benchmark modules the tests read (the
+50-digit reference and the tracer) and test-only matrix checks."""
 
 import importlib.util
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 from hypothesis import strategies as st
 
 from paulinoise import BlochVector, PauliAxis
+from paulinoise.linalg import as_matrix
 
 _component = st.floats(
     min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False
@@ -33,17 +36,38 @@ def axes():
     return st.sampled_from(list(PauliAxis))
 
 
-REFERENCE_PATH = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_bench(name: str):
+    """bench/<name>.py loaded in place from its path, without the bench
+    directory on sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        f"paulinoise_bench_{name}", BENCH_DIR / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @cache
 def reference():
     """The benchmark's 50-digit mpmath recomputation of every reported
-    quantity (bench/reference.py), loaded in place from its path."""
-    spec = importlib.util.spec_from_file_location("paulinoise_reference", REFERENCE_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    quantity (bench/reference.py)."""
+    return _load_bench("reference")
+
+
+@cache
+def tracer():
+    """The benchmark's span tracer (bench/tracer.py), whose TRACED names
+    the package functions it hooks."""
+    return _load_bench("tracer")
+
+
+def hermiticity_residual(m) -> float:
+    """Largest absolute entry of m - m^dagger; 0 for Hermitian input."""
+    m = as_matrix(m)
+    return float(np.abs(m - m.conj().T).max())
 
 
 def reference_values(axis, x, a) -> dict:

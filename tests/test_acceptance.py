@@ -13,14 +13,8 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from paulinoise import (
-    apply_channel,
-    bloch_to_density,
-    coherent_information,
-    entangled_fidelity,
-    entropy_exchange,
-    make_one_pauli,
-)
+from helpers import hermiticity_residual
+from paulinoise import apply_channel, bloch_to_density, make_one_pauli
 from paulinoise.bloch import BlochVector
 from paulinoise.channels import PauliAxis
 from paulinoise.cli import (
@@ -34,7 +28,7 @@ from paulinoise.cli import (
     sweep_reports,
     write_sweep_csv,
 )
-from paulinoise.linalg import hermitian_eigenvalues_2x2, hermiticity_residual
+from paulinoise.linalg import hermitian_eigenvalues_2x2
 from paulinoise.measures import full_report
 
 GRID = 101
@@ -70,7 +64,7 @@ def _record(number: int, ok: bool, detail: str) -> bool:
 def test_criterion_1_cross_path_equivalence(verification, cli_verify):
     names = ("bloch_out", "lambda", "theta", "noise", "coherent")
     worst = max(
-        av.residuals()[name] for av in verification.axes for name in names
+        av.residuals[name] for av in verification.axes for name in names
     )
     rc, _ = cli_verify
     ok = worst <= 1e-10 and rc == 0
@@ -83,7 +77,7 @@ def test_criterion_1_cross_path_equivalence(verification, cli_verify):
 
 
 def test_criterion_2_dilation_oracle(verification):
-    worst = max(av.residual_oracle for av in verification.axes)
+    worst = max(av.residuals["oracle_vs_w"] for av in verification.axes)
     ok = worst <= 1e-10
     assert _record(
         2, ok,
@@ -123,12 +117,10 @@ def test_criterion_3_completeness_and_state_validity(verification):
 def test_criterion_4_spot_values():
     bloch = BlochVector(0.5, 0.6, 0.6)
     rho = bloch_to_density(bloch)
-    n_half = entropy_exchange(make_one_pauli(1, 0.5), rho)
-    c_half = coherent_information(make_one_pauli(1, 0.5), rho)
-    c_zero = coherent_information(make_one_pauli(1, 0.0), rho)
-    c_one = coherent_information(make_one_pauli(1, 1.0), rho)
-    f_zero = entangled_fidelity(make_one_pauli(1, 0.0), rho)
-    f_half = entangled_fidelity(make_one_pauli(1, 0.5), rho)
+    zero, half, one = (full_report(make_one_pauli(1, x), rho) for x in (0.0, 0.5, 1.0))
+    n_half = half.noise_n
+    c_half, c_zero, c_one = half.coherent_c, zero.coherent_c, one.coherent_c
+    f_zero, f_half = zero.fidelity_numeric, half.fidelity_numeric
     ok = (
         abs(n_half - 0.811278) <= 1e-6
         and abs(c_half) <= 1e-9
@@ -196,7 +188,7 @@ def test_criterion_5_symmetries():
 
 def test_criterion_6_sigma2_fidelity_discrepancy(verification, cli_verify, tmp_path):
     sigma2 = verification.axis(PauliAxis.SIGMA2)
-    identity_residual = sigma2.residual_fidelity_closed
+    identity_residual = sigma2.residuals["fidelity_closed"]
 
     path = tmp_path / "sigma2.csv"
     spec = SweepSpec(PauliAxis.SIGMA2, REFERENCE_STATES[PauliAxis.SIGMA2], 11)

@@ -6,22 +6,13 @@ from paulinoise import (
     BlochVector,
     ValidationError,
     apply_channel,
-    bloch_out_closed,
     bloch_to_density,
     closed_point,
-    coherent_closed,
-    coherent_information,
     density_to_bloch,
-    entangled_fidelity,
-    entropy_exchange,
     fidelity_paper_closed,
     full_report,
-    lambdas_closed,
     make_one_pauli,
-    noise_closed,
-    thetas_closed,
     w_matrix,
-    w_spectrum,
 )
 from paulinoise import NumericError, closedform
 from paulinoise.closedform import closed_batch
@@ -36,22 +27,22 @@ THETA_LO_PURE = 0.007557109910194759
 
 
 def test_bloch_out_kills_transverse_at_half():
-    assert bloch_out_closed(1, 0.5, (0.5, 0.6, 0.6)) == BlochVector(0.5, 0.0, 0.0)
+    assert closed_point(1, 0.5, (0.5, 0.6, 0.6)).b == BlochVector(0.5, 0.0, 0.0)
 
 
 def test_bloch_out_identity_endpoint():
-    assert bloch_out_closed(2, 1.0, (0.3, -0.1, 0.2)) == BlochVector(0.3, -0.1, 0.2)
+    assert closed_point(2, 1.0, (0.3, -0.1, 0.2)).b == BlochVector(0.3, -0.1, 0.2)
 
 
 def test_bloch_out_sigma3():
-    b = bloch_out_closed(3, 0.2, (0.6, 0.6, 0.5))
+    b = closed_point(3, 0.2, (0.6, 0.6, 0.5)).b
     assert b.a1 == pytest.approx(-0.36, abs=1e-15)
     assert b.a2 == pytest.approx(-0.36, abs=1e-15)
     assert b.a3 == 0.5
 
 
 def test_lambdas_halfway():
-    pair = lambdas_closed(1, 0.5, (0.5, 0.6, 0.6))
+    pair = closed_point(1, 0.5, (0.5, 0.6, 0.6)).lambdas
     assert pair.hi == pytest.approx(0.75, abs=1e-15)
     assert pair.lo == pytest.approx(0.25, abs=1e-15)
 
@@ -59,60 +50,60 @@ def test_lambdas_halfway():
 @pytest.mark.parametrize("axis", [1, 2, 3])
 @pytest.mark.parametrize("x", [0.0, 1.0])
 def test_lambdas_trivial_at_endpoints(axis, x):
-    assert lambdas_closed(axis, x, (0.5, 0.6, 0.6)) == (1.0, 0.0)
+    assert closed_point(axis, x, (0.5, 0.6, 0.6)).lambdas == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("x", [0.1, 0.5, 0.8])
 def test_lambdas_trivial_for_axis_aligned_pure_state(x):
-    assert lambdas_closed(1, x, (1, 0, 0)) == (1.0, 0.0)
+    assert closed_point(1, x, (1, 0, 0)).lambdas == (1.0, 0.0)
 
 
 def test_thetas_halfway_collapse_to_axis_component():
-    pair = thetas_closed(1, 0.5, (0.5, 0.6, 0.6))
+    pair = closed_point(1, 0.5, (0.5, 0.6, 0.6)).thetas
     assert pair.hi == pytest.approx(0.75, abs=1e-15)
     assert pair.lo == pytest.approx(0.25, abs=1e-15)
 
 
 def test_thetas_noiseless_endpoint():
-    pair = thetas_closed(1, 1.0, (0.5, 0.6, 0.6))
+    pair = closed_point(1, 1.0, (0.5, 0.6, 0.6)).thetas
     assert pair.hi == pytest.approx(THETA_HI_PURE, abs=1e-12)
     assert pair.lo == pytest.approx(THETA_LO_PURE, abs=1e-12)
 
 
 def test_thetas_maximally_mixed():
-    assert thetas_closed(3, 0.0, (0, 0, 0)) == (0.5, 0.5)
+    assert closed_point(3, 0.0, (0, 0, 0)).thetas == (0.5, 0.5)
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0])
 def test_noise_vanishes_at_endpoints(x):
-    assert noise_closed(1, x, (0.5, 0.6, 0.6)) == 0.0
+    assert closed_point(1, x, (0.5, 0.6, 0.6)).noise_n == 0.0
 
 
 def test_noise_halfway():
-    assert noise_closed(1, 0.5, (0.5, 0.6, 0.6)) == pytest.approx(
+    assert closed_point(1, 0.5, (0.5, 0.6, 0.6)).noise_n == pytest.approx(
         H_THREE_QUARTERS, abs=1e-12
     )
 
 
 def test_noise_axis_permutation_image():
-    assert noise_closed(2, 0.5, (0.6, 0.5, 0.6)) == pytest.approx(
+    assert closed_point(2, 0.5, (0.6, 0.5, 0.6)).noise_n == pytest.approx(
         H_THREE_QUARTERS, abs=1e-12
     )
 
 
 def test_coherent_halfway_is_zero():
-    assert coherent_closed(1, 0.5, (0.5, 0.6, 0.6)) == 0.0
+    assert closed_point(1, 0.5, (0.5, 0.6, 0.6)).coherent_c == 0.0
 
 
 def test_coherent_noiseless_is_input_entropy():
-    assert coherent_closed(1, 1.0, (0.5, 0.6, 0.6)) == pytest.approx(
+    assert closed_point(1, 1.0, (0.5, 0.6, 0.6)).coherent_c == pytest.approx(
         H_REF, abs=1e-9
     )
 
 
 @pytest.mark.parametrize("x", [0.0, 0.3, 0.7, 1.0])
 def test_coherent_vanishes_for_axis_aligned_pure_state(x):
-    assert coherent_closed(1, x, (1, 0, 0)) == 0.0
+    assert closed_point(1, x, (1, 0, 0)).coherent_c == 0.0
 
 
 def test_fidelity_sigma1_full_noise():
@@ -194,7 +185,7 @@ def test_lambdas_accurate_for_tiny_axis_component(axis, x, a):
     # printed form 1 - 4x(x-1)(a_k^2 - 1) left it off by 1e-16 and lambda
     # off by up to 3.7e-9
     want = reference_values(axis, x, a)["lambdas"]
-    have = lambdas_closed(axis, x, a)
+    have = closed_point(axis, x, a).lambdas
     assert abs(have.lo - want[1]) <= 1e-15
     assert abs(have.hi - want[0]) <= 1e-15
     kraus = full_report(make_one_pauli(axis, x), bloch_to_density(a)).lambdas
@@ -215,7 +206,7 @@ def test_closed_forms_match_generic_path(axis, x, a):
     for have, want in zip(b_numeric, point.b):
         assert have == pytest.approx(want, abs=1e-12)
 
-    lam_numeric = w_spectrum(w_matrix(ch, rho))
+    lam_numeric = hermitian_eigenvalues_2x2(w_matrix(ch, rho))
     assert lam_numeric.hi == pytest.approx(point.lambdas.hi, abs=1e-12)
     assert lam_numeric.lo == pytest.approx(point.lambdas.lo, abs=1e-12)
 
@@ -223,17 +214,17 @@ def test_closed_forms_match_generic_path(axis, x, a):
     assert theta_numeric.hi == pytest.approx(point.thetas.hi, abs=1e-12)
     assert theta_numeric.lo == pytest.approx(point.thetas.lo, abs=1e-12)
 
-    assert point.noise_n == pytest.approx(entropy_exchange(ch, rho), abs=1e-12)
-    assert point.coherent_c == pytest.approx(
-        coherent_information(ch, rho), abs=1e-12
-    )
+    rep = full_report(ch, rho)
+    assert point.noise_n == pytest.approx(rep.noise_n, abs=1e-12)
+    assert point.coherent_c == pytest.approx(rep.coherent_c, abs=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
 @given(axes(), retentions(), bloch_vectors())
 def test_fidelity_closed_forms_against_trace_form(axis, x, a):
     # fidelity expressions are polynomial, so arbitrary floats are fine here
-    f_numeric = entangled_fidelity(make_one_pauli(axis, x), bloch_to_density(a))
+    rep = full_report(make_one_pauli(axis, x), bloch_to_density(a))
+    f_numeric = rep.fidelity_numeric
     f_closed = fidelity_paper_closed(axis, x, a)
     if axis == 2:
         # the printed axis-2 sign makes the closed form differ by exactly
@@ -248,8 +239,8 @@ def test_fidelity_closed_forms_against_trace_form(axis, x, a):
 @settings(max_examples=80)
 @given(axes(), retentions(), bloch_vectors())
 def test_spectra_invariant_under_retention_reflection(axis, x, a):
-    for fn in (lambdas_closed, thetas_closed):
-        direct = fn(axis, x, a)
-        mirrored = fn(axis, 1 - x, a)
+    point, image = closed_point(axis, x, a), closed_point(axis, 1 - x, a)
+    for field in ("lambdas", "thetas"):
+        direct, mirrored = getattr(point, field), getattr(image, field)
         assert direct.hi == pytest.approx(mirrored.hi, abs=1e-12)
         assert direct.lo == pytest.approx(mirrored.lo, abs=1e-12)

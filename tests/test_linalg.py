@@ -3,13 +3,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from helpers import hermiticity_residual
 from paulinoise import (
     NumericError,
     SpectrumPair,
     ValidationError,
     hermitian_eigenvalues_2x2,
-    hermiticity_residual,
-    inner_product,
     spectrum_entropy,
 )
 from paulinoise import linalg
@@ -22,41 +21,6 @@ _entry = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinit
 def _hermitian_2x2(a, d, b_re, b_im):
     b = complex(b_re, b_im)
     return np.array([[a, b], [b.conjugate(), d]], dtype=complex)
-
-
-def test_inner_product_identity():
-    assert inner_product(IDENTITY, IDENTITY) == pytest.approx(2 + 0j)
-
-
-@pytest.mark.parametrize("a, b", [(SIGMA1, SIGMA2), (SIGMA1, SIGMA3), (SIGMA2, SIGMA3)])
-def test_inner_product_pauli_orthogonality(a, b):
-    assert inner_product(a, b) == pytest.approx(0 + 0j, abs=1e-15)
-
-
-def test_inner_product_sigma2_with_itself():
-    assert inner_product(SIGMA2, SIGMA2) == pytest.approx(2 + 0j)
-
-
-def test_inner_product_dimension_mismatch():
-    with pytest.raises(ValidationError):
-        inner_product(IDENTITY, np.eye(3))
-
-
-def test_inner_product_rejects_nonfinite():
-    bad = np.array([[np.nan, 0], [0, 0]])
-    with pytest.raises(ValidationError):
-        inner_product(bad, IDENTITY)
-
-
-@given(_entry, _entry, _entry, _entry, _entry, _entry, _entry, _entry)
-def test_inner_product_with_itself_is_squared_frobenius_norm(
-    a, b, c, d, e, f, g, h
-):
-    m = np.array([[complex(a, b), complex(c, d)], [complex(e, f), complex(g, h)]])
-    value = inner_product(m, m)
-    assert abs(value.imag) <= 1e-15
-    assert value.real >= 0.0
-    assert value.real == pytest.approx(float(np.sum(np.abs(m) ** 2)), abs=1e-13)
 
 
 def test_eigenvalues_scalar_matrix():

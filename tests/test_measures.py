@@ -1,24 +1,21 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import axes, bloch_vectors, retentions
+from helpers import axes, bloch_vectors, hermiticity_residual, reference, retentions
 from paulinoise import (
     KrausChannel,
     ValidationError,
     bloch_to_density,
-    coherent_information,
-    entangled_fidelity,
-    entropy_exchange,
     environment_entropy_oracle,
     full_report,
+    hermitian_eigenvalues_2x2,
     make_one_pauli,
-    mutual_information,
     w_matrix,
-    w_spectrum,
 )
 from paulinoise.bloch import IDENTITY
-from paulinoise.linalg import hermiticity_residual
 
 # binary entropy of (1 + sqrt(0.97))/2, evaluated with 50-digit arithmetic;
 # the input entropy of every reference state used below
@@ -55,45 +52,46 @@ def test_w_matrix_invariants(axis, x, a):
     w = w_matrix(make_one_pauli(axis, x), _rho(a))
     assert hermiticity_residual(w) <= 1e-12
     assert np.trace(w).real == pytest.approx(1.0, abs=1e-13)
-    assert w_spectrum(w).lo >= -1e-12
+    assert hermitian_eigenvalues_2x2(w).lo >= -1e-12
 
 
 def test_entropy_exchange_noiseless():
-    assert entropy_exchange(make_one_pauli(1, 1.0), _rho((0.5, 0.6, 0.6))) == 0.0
+    assert full_report(make_one_pauli(1, 1.0), _rho((0.5, 0.6, 0.6))).noise_n == 0.0
 
 
 def test_entropy_exchange_halfway():
-    n = entropy_exchange(make_one_pauli(1, 0.5), _rho((0.5, 0.6, 0.6)))
+    n = full_report(make_one_pauli(1, 0.5), _rho((0.5, 0.6, 0.6))).noise_n
     assert n == pytest.approx(H_THREE_QUARTERS, abs=1e-12)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.3, 0.5, 0.9, 1.0])
 def test_entropy_exchange_vanishes_for_axis_aligned_pure_state(x):
-    assert entropy_exchange(make_one_pauli(1, x), _rho((1, 0, 0))) <= 1e-12
+    assert full_report(make_one_pauli(1, x), _rho((1, 0, 0))).noise_n <= 1e-12
 
 
 def test_coherent_information_halfway_is_zero():
-    c = coherent_information(make_one_pauli(1, 0.5), _rho((0.5, 0.6, 0.6)))
+    c = full_report(make_one_pauli(1, 0.5), _rho((0.5, 0.6, 0.6))).coherent_c
     assert c == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0])
 def test_coherent_information_equals_input_entropy_at_endpoints(x):
-    c = coherent_information(make_one_pauli(1, x), _rho((0.5, 0.6, 0.6)))
+    c = full_report(make_one_pauli(1, x), _rho((0.5, 0.6, 0.6))).coherent_c
     assert c == pytest.approx(H_REF, abs=1e-9)
 
 
 def test_entangled_fidelity_identity_channel():
-    assert entangled_fidelity(make_one_pauli(2, 1.0), _rho((0.5, 0.6, 0.6))) == 1.0
+    rep = full_report(make_one_pauli(2, 1.0), _rho((0.5, 0.6, 0.6)))
+    assert rep.fidelity_numeric == 1.0
 
 
 def test_entangled_fidelity_sigma1_full_noise():
-    f = entangled_fidelity(make_one_pauli(1, 0.0), _rho((0.5, 0.6, 0.6)))
+    f = full_report(make_one_pauli(1, 0.0), _rho((0.5, 0.6, 0.6))).fidelity_numeric
     assert f == pytest.approx(0.25, abs=1e-12)
 
 
 def test_entangled_fidelity_sigma2_full_noise_is_positive():
-    f = entangled_fidelity(make_one_pauli(2, 0.0), _rho((0.6, 0.5, 0.6)))
+    f = full_report(make_one_pauli(2, 0.0), _rho((0.6, 0.5, 0.6))).fidelity_numeric
     assert f == pytest.approx(0.25, abs=1e-12)
 
 
@@ -101,14 +99,14 @@ def test_entangled_fidelity_sigma2_full_noise_is_positive():
 @given(axes(), retentions(), bloch_vectors())
 def test_entangled_fidelity_closed_identity(axis, x, a):
     # direct consequence of the trace form, for every axis
-    f = entangled_fidelity(make_one_pauli(axis, x), _rho(a))
+    f = full_report(make_one_pauli(axis, x), _rho(a)).fidelity_numeric
     ak = a[axis - 1]
     assert f == pytest.approx(x + (1 - x) * ak * ak, abs=1e-12)
     assert 0.0 <= f <= 1.0 + 1e-12
 
 
 def test_mutual_information_noiseless():
-    m = mutual_information(make_one_pauli(1, 1.0), _rho((0.5, 0.6, 0.6)))
+    m = full_report(make_one_pauli(1, 1.0), _rho((0.5, 0.6, 0.6))).mutual_info
     assert m == pytest.approx(2 * H_REF, abs=1e-9)
 
 
@@ -116,14 +114,14 @@ def test_mutual_information_noiseless():
 def test_mutual_information_maximally_mixed(x):
     ch = make_one_pauli(1, x)
     rho = _rho((0, 0, 0))
-    m = mutual_information(ch, rho)
-    assert m == pytest.approx(2.0 - entropy_exchange(ch, rho), abs=1e-12)
+    rep = full_report(ch, rho)
+    assert rep.mutual_info == pytest.approx(2.0 - rep.noise_n, abs=1e-12)
 
 
 def test_mutual_information_components():
     ch = make_one_pauli(1, 0.5)
     rho = _rho((0.5, 0.6, 0.6))
-    assert mutual_information(ch, rho) == pytest.approx(H_REF, abs=1e-9)
+    assert full_report(ch, rho).mutual_info == pytest.approx(H_REF, abs=1e-9)
 
 
 def test_oracle_noiseless():
@@ -148,7 +146,7 @@ def test_oracle_axis_aligned_pure_state_sees_no_noise():
     ch = make_one_pauli(3, 0.3)
     rho = _rho((0, 0, 1))
     assert environment_entropy_oracle(ch, rho) == pytest.approx(0.0, abs=1e-12)
-    assert entropy_exchange(ch, rho) == pytest.approx(0.0, abs=1e-12)
+    assert full_report(ch, rho).noise_n == pytest.approx(0.0, abs=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,7 +155,7 @@ def test_oracle_matches_entropy_exchange(axis, x, a):
     ch = make_one_pauli(axis, x)
     rho = _rho(a)
     assert environment_entropy_oracle(ch, rho) == pytest.approx(
-        entropy_exchange(ch, rho), abs=1e-10
+        full_report(ch, rho).noise_n, abs=1e-10
     )
 
 
@@ -167,7 +165,7 @@ def test_oracle_survives_nearly_degenerate_input():
     ch = make_one_pauli(1, 0.5)
     rho = _rho((1e-12, 0.0, 1e-12))
     assert environment_entropy_oracle(ch, rho) == pytest.approx(
-        entropy_exchange(ch, rho), abs=1e-10
+        full_report(ch, rho).noise_n, abs=1e-10
     )
 
 
@@ -178,7 +176,7 @@ def test_oracle_handles_single_operator_channel():
 
 def test_entropy_exchange_single_operator_channel():
     ch = KrausChannel(ops=(IDENTITY,))
-    assert entropy_exchange(ch, _rho((0.3, 0.1, -0.5))) == 0.0
+    assert full_report(ch, _rho((0.3, 0.1, -0.5))).noise_n == 0.0
 
 
 def test_three_operator_channels_are_out_of_scope_for_spectra():
@@ -194,7 +192,7 @@ def test_three_operator_channels_are_out_of_scope_for_spectra():
     w = w_matrix(ch, rho)  # the matrix itself is fine
     assert w.shape == (3, 3)
     with pytest.raises(ValidationError):
-        entropy_exchange(ch, rho)
+        full_report(ch, rho)
     with pytest.raises(ValidationError):
         environment_entropy_oracle(ch, rho)
 
@@ -230,13 +228,19 @@ def test_full_report_without_metadata_marks_fields_absent():
     assert rep.coherent_c == rep.h_out - rep.noise_n
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(axes(), retentions(), bloch_vectors())
 def test_full_report_is_consistent_with_pointwise_measures(axis, x, a):
-    ch = make_one_pauli(axis, x)
-    rho = _rho(a)
-    rep = full_report(ch, rho)
-    assert rep.noise_n == pytest.approx(entropy_exchange(ch, rho), abs=1e-13)
-    assert rep.coherent_c == pytest.approx(coherent_information(ch, rho), abs=1e-13)
-    assert rep.fidelity_numeric == pytest.approx(entangled_fidelity(ch, rho), abs=1e-13)
-    assert rep.mutual_info == pytest.approx(mutual_information(ch, rho), abs=1e-13)
+    # every field against the 50-digit recomputation of the same point
+    rep = full_report(make_one_pauli(axis, x), _rho(a))
+    ref = reference().point(int(axis), x, a)
+    want = dict(ref, lambdas=(ref["lambda_hi"], ref["lambda_lo"]),
+                thetas=(ref["theta_hi"], ref["theta_lo"]))
+    for name, value in asdict(rep).items():
+        expected = want[name]
+        if isinstance(value, tuple):
+            assert len(value) == len(expected), name
+            for have, ref_value in zip(value, expected):
+                assert abs(have - float(ref_value)) <= 1e-12, name
+        else:
+            assert abs(value - float(expected)) <= 1e-12, name

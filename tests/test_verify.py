@@ -195,8 +195,7 @@ def test_report_equals_per_point_reduction(seed):
     for axis, states in _axis_states(seed):
         av = report.axis(axis)
         maxima, counts, (gap_max, gap_predicted) = _loop_reduction(axis, grid, states)
-        for name, value in maxima.items():
-            assert getattr(av, name) == value, name
+        assert av.residuals == maxima
         for name, value in counts.items():
             assert getattr(av, name) == value, name
         assert av.gap_max == pytest.approx(gap_max, abs=1e-14)
