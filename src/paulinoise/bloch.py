@@ -16,8 +16,8 @@ from .errors import ValidationError
 from .linalg import (
     EIGENVALUE_FLOOR,
     SpectrumPair,
+    _eigenvalues_2x2,
     as_matrix,
-    hermitian_eigenvalues_2x2,
     hermitian_eigenvalues_batch,
     spectrum_entropy,
 )
@@ -89,9 +89,7 @@ def check_density(rho) -> np.ndarray:
     """Validate Hermiticity (inside the eigenvalue kernel), unit trace and
     positivity of a 2x2 state."""
     rho = as_matrix(rho, "density matrix")
-    if rho.shape != (2, 2):
-        raise ValidationError(f"density matrix must be 2x2, got {rho.shape}")
-    spectrum = hermitian_eigenvalues_2x2(rho)
+    spectrum = _eigenvalues_2x2(rho)
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValidationError(f"density matrix trace {trace:.15g} != 1")

@@ -93,8 +93,6 @@ class KrausChannel:
         ops = tuple(as_matrix(op, f"ops[{i}]") for i, op in enumerate(self.ops))
         if not ops:
             raise ValidationError("channel needs at least one Kraus operator")
-        if any(op.shape != (2, 2) for op in ops):
-            raise ValidationError("Kraus operators must be 2x2")
         object.__setattr__(self, "ops", ops)
         if self.axis is not None:
             object.__setattr__(self, "axis", as_axis(self.axis))
@@ -120,13 +118,17 @@ def completeness_residual(ch: KrausChannel) -> float:
     return float(np.abs(acc - IDENTITY).max())
 
 
-def _require_valid(ch: KrausChannel, rho) -> np.ndarray:
-    residual = completeness_residual(ch)
+def _require_complete(residual: float) -> None:
+    """Raise unless a completeness residual is within COMPLETENESS_TOL."""
     if residual > COMPLETENESS_TOL:
         raise ValidationError(
             f"incomplete Kraus set: completeness residual {residual:.3e} "
             f"exceeds {COMPLETENESS_TOL}"
         )
+
+
+def _require_valid(ch: KrausChannel, rho) -> np.ndarray:
+    _require_complete(completeness_residual(ch))
     return check_density(rho)
 
 

@@ -5,19 +5,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .bloch import BlochVector, bloch_to_density, parse_bloch
 from .channels import PauliAxis, check_retention, make_one_pauli, retention_grid
 from .errors import NumericError, ValidationError
 from .measures import ChannelReport, full_report
-# random_bloch is re-exported for callers that import the verification
-# names from the command-line module.
-from .verify import (  # noqa: F401
+from .verify import (
     REFERENCE_STATES,
     RESIDUAL_LIMIT,
     VerificationReport,
-    random_bloch,
     run_verification,
 )
 
@@ -40,27 +36,12 @@ def format_bloch(vec: BlochVector, precision: int) -> str:
 # sweep
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    axis: PauliAxis
-    bloch: BlochVector
-    steps: int = DEFAULT_STEPS
-    precision: int = DEFAULT_PRECISION
-
-    def __post_init__(self):
-        if self.steps < 2:
-            raise ValidationError(f"steps must be >= 2, got {self.steps}")
-        if self.precision < 1:
-            raise ValidationError(f"precision must be >= 1, got {self.precision}")
-
-    def grid(self) -> list[float]:
-        return retention_grid(self.steps)
-
-
-def sweep_reports(spec: SweepSpec) -> list[ChannelReport]:
-    """Full report at every grid point, ascending in x."""
-    rho = bloch_to_density(spec.bloch)
-    return [full_report(make_one_pauli(spec.axis, x), rho) for x in spec.grid()]
+def sweep_reports(
+    axis: PauliAxis, bloch: BlochVector, steps: int
+) -> list[ChannelReport]:
+    """Full report at every point of retention_grid(steps), ascending in x."""
+    rho = bloch_to_density(bloch)
+    return [full_report(make_one_pauli(axis, x), rho) for x in retention_grid(steps)]
 
 
 def csv_line(report: ChannelReport, precision: int) -> str:
@@ -80,9 +61,9 @@ def csv_line(report: ChannelReport, precision: int) -> str:
     return ",".join(format_value(c, precision) for c in columns)
 
 
-def write_sweep_csv(spec: SweepSpec, reports: list[ChannelReport], path: str) -> None:
+def write_sweep_csv(reports: list[ChannelReport], path: str, precision: int) -> None:
     lines = [CSV_HEADER]
-    lines.extend(csv_line(report, spec.precision) for report in reports)
+    lines.extend(csv_line(report, precision) for report in reports)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -173,11 +154,12 @@ def cmd_sweep(args) -> int:
     axis = PauliAxis.from_token(args.channel)
     bloch = _flagged("--bloch", parse_bloch, args.bloch)
     precision = _flagged("--precision", _check_precision, args.precision)
-    spec = _flagged(
-        "--steps", lambda steps: SweepSpec(axis, bloch, steps, precision), args.steps
+    # retention_grid is the only check on --steps; axis and Bloch vector are
+    # validated above, so no other ValidationError can arise in the sweep.
+    reports = _flagged(
+        "--steps", lambda steps: sweep_reports(axis, bloch, steps), args.steps
     )
-    reports = sweep_reports(spec)
-    write_sweep_csv(spec, reports, args.out)
+    write_sweep_csv(reports, args.out, precision)
     return 0
 
 

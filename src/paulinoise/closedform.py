@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BLOCH_NORM_TOL, BlochVector, check_bloch
+from .bloch import BlochVector, check_bloch
 from .channels import PauliAxis, as_axis, check_retention
-from .errors import NumericError, ValidationError
+from .errors import NumericError
 from .linalg import SpectrumPair, spectrum_entropy_batch
 
 RADICAND_FLOOR = -1e-12
@@ -62,6 +62,13 @@ def _theta_radicand(x, ak, transverse_sq):
     return ak * ak + transverse_sq * (1.0 - 2.0 * x) ** 2
 
 
+def _fidelity_paper(axis: PauliAxis, x, ak):
+    """a_k^2 (1-x) + x, the a_k^2 term negated on axis 2 as printed; for
+    floats or broadcastable arrays."""
+    sign = -1.0 if axis is PauliAxis.SIGMA2 else 1.0
+    return sign * ak * ak * (1.0 - x) + x
+
+
 def fidelity_paper_closed(axis, x, a) -> float:
     """Closed-form fidelity as printed: a_k^2 (1-x) + x for axes 1 and 3,
     but -a_2^2 (1-x) + x for axis 2.
@@ -72,9 +79,7 @@ def fidelity_paper_closed(axis, x, a) -> float:
     side by side so the discrepancy stays visible.
     """
     axis, x, a = _domain(axis, x, a)
-    ak = a[axis - 1]
-    sign = -1.0 if axis is PauliAxis.SIGMA2 else 1.0
-    return sign * ak * ak * (1.0 - x) + x
+    return _fidelity_paper(axis, x, a[axis - 1])
 
 
 def closed_point(axis, x, a) -> ClosedFormPoint:
@@ -83,7 +88,7 @@ def closed_point(axis, x, a) -> ClosedFormPoint:
     axis, x, a = _domain(axis, x, a)
     values = {
         name: array[0, 0].tolist()
-        for name, array in _closed_arrays(axis, np.array([x]), np.array([a])).items()
+        for name, array in closed_batch(axis, np.array([x]), np.array([a])).items()
     }
     return ClosedFormPoint(
         axis=axis,
@@ -106,49 +111,32 @@ def _split_unit_spectrum_batch(radicand: np.ndarray) -> np.ndarray:
     return np.stack(((1.0 + root) / 2.0, (1.0 - root) / 2.0), axis=-1)
 
 
-def closed_batch(axis, x, a) -> dict[str, np.ndarray]:
+def closed_batch(axis: PauliAxis, x, a) -> dict[str, np.ndarray]:
     """closed_point over retention rates x of shape (G,) and Bloch vectors
     a of shape (S, 3), computed from x and the Bloch components alone.
 
     Returns the ClosedFormPoint quantities b, lambdas, thetas, noise_n,
     coherent_c and fidelity_paper as arrays of leading shape (G, S); b and
     the spectra carry a trailing axis of 3 and 2 (hi, lo). The domain is
-    validated for every entry, as closed_point does for one.
+    validated by the caller: closed_point for one point, and verify, whose
+    grid comes from retention_grid and whose states pass check_bloch.
     """
-    axis = as_axis(axis)
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if x.ndim != 1 or a.ndim != 2 or a.shape[1] != 3:
-        raise ValidationError(
-            f"expected shapes (G,) and (S, 3), got {x.shape} and {a.shape}"
-        )
-    if not np.all(np.isfinite(x)) or np.any((x < 0.0) | (x > 1.0)):
-        raise ValidationError("x must be in [0, 1] at every grid point")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("Bloch vectors have non-finite components")
-    if float((a * a).sum(axis=1).max(initial=0.0)) > 1.0 + BLOCH_NORM_TOL:
-        raise ValidationError("a Bloch vector is longer than 1")
-    return _closed_arrays(axis, x, a)
-
-
-def _closed_arrays(axis: PauliAxis, x: np.ndarray, a: np.ndarray) -> dict[str, np.ndarray]:
-    """closed_batch on a validated domain."""
     k = axis - 1
+    a = np.asarray(a, dtype=float)
     ak = a[:, k]
     t1, t2 = (a[:, i] for i in range(3) if i != k)
     transverse_sq = t1 * t1 + t2 * t2
-    x = x[:, None]
+    x = np.asarray(x, dtype=float)[:, None]
     b = (2.0 * x - 1.0)[..., None] * a
     b[..., k] = ak
     lambdas = _split_unit_spectrum_batch(_lambda_radicand(x, ak))
     thetas = _split_unit_spectrum_batch(_theta_radicand(x, ak, transverse_sq))
     noise = spectrum_entropy_batch(lambdas)
-    sign = -1.0 if axis is PauliAxis.SIGMA2 else 1.0
     return {
         "bloch_out": b,
         "lambdas": lambdas,
         "thetas": thetas,
         "noise_n": noise,
         "coherent_c": spectrum_entropy_batch(thetas) - noise,
-        "fidelity_paper": sign * ak * ak * (1.0 - x) + x,
+        "fidelity_paper": _fidelity_paper(axis, x, ak),
     }

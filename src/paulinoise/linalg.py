@@ -1,4 +1,4 @@
-"""Complex linear algebra kernel for small square matrices.
+"""Complex linear algebra kernel for 2x2 matrices.
 
 Everything operates on plain numpy arrays with complex entries. The only
 spectral routine is the closed form for 2x2 Hermitian matrices, which is
@@ -31,10 +31,10 @@ class SpectrumPair(NamedTuple):
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting NaN/Inf entries."""
+    """Coerce to a 2x2 complex matrix, rejecting NaN/Inf entries."""
     out = np.asarray(m, dtype=complex)
-    if out.ndim != 2 or out.shape[0] != out.shape[1] or out.shape[0] < 1:
-        raise ValidationError(f"{name} must be square, got shape {out.shape}")
+    if out.shape != (2, 2):
+        raise ValidationError(f"{name} must be 2x2, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise ValidationError(f"{name} contains non-finite entries")
     return out
@@ -50,9 +50,11 @@ def hermitian_eigenvalues_2x2(m) -> SpectrumPair:
     slightly negative; below -1e-12 it cannot come from a Hermitian
     matrix and raises NumericError.
     """
-    m = as_matrix(m)
-    if m.shape != (2, 2):
-        raise ValidationError(f"expected a 2x2 matrix, got {m.shape[0]}x{m.shape[0]}")
+    return _eigenvalues_2x2(as_matrix(m))
+
+
+def _eigenvalues_2x2(m: np.ndarray) -> SpectrumPair:
+    """hermitian_eigenvalues_2x2 of a matrix that as_matrix has coerced."""
     residual = float(np.abs(m - m.conj().T).max())
     if residual > HERMITICITY_TOL:
         raise ValidationError(

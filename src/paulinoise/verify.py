@@ -21,6 +21,7 @@ from .bloch import BlochVector, bloch_to_density, check_density_batch
 from .channels import (
     COMPLETENESS_TOL,
     PauliAxis,
+    _require_complete,
     completeness_residual,
     make_one_pauli,
     retention_grid,
@@ -74,12 +75,7 @@ class AxisVerification:
     points: int = 0
     c_positive_reference: int = 0
     reference_points: int = 0
-    c_positive_at_x0: bool = False
-    c_positive_at_x1: bool = False
-
-    @property
-    def endpoints_c_positive(self) -> bool:
-        return self.c_positive_at_x0 and self.c_positive_at_x1
+    endpoints_c_positive: bool = False  # reference input at x = 0 and x = 1
 
     @property
     def passed(self) -> bool:
@@ -131,12 +127,7 @@ def axis_routes(
     """
     channels = [make_one_pauli(axis, x) for x in grid]
     completeness = np.array([completeness_residual(ch) for ch in channels])
-    worst = float(completeness.max())
-    if worst > COMPLETENESS_TOL:
-        raise ValidationError(
-            f"incomplete Kraus set: completeness residual {worst:.3e} "
-            f"exceeds {COMPLETENESS_TOL}"
-        )
+    _require_complete(float(completeness.max()))
     kraus = np.array([ch.ops for ch in channels])
     rhos = check_density_batch([bloch_to_density(a) for a in states])
     x = np.array(grid)[:, None]
@@ -183,8 +174,7 @@ def reduce_routes(axis: PauliAxis, routes: dict[str, np.ndarray]) -> AxisVerific
     reference = positive[:, -1]
     av.reference_points = reference.size
     av.c_positive_reference = int(reference.sum())
-    av.c_positive_at_x0 = bool(reference[0])
-    av.c_positive_at_x1 = bool(reference[-1])
+    av.endpoints_c_positive = bool(reference[0] and reference[-1])
     return av
 
 

@@ -20,9 +20,7 @@ from paulinoise.channels import PauliAxis
 from paulinoise.cli import (
     CSV_HEADER,
     REFERENCE_STATES,
-    SweepSpec,
     main,
-    random_bloch,
     retention_grid,
     run_verification,
     sweep_reports,
@@ -30,6 +28,7 @@ from paulinoise.cli import (
 )
 from paulinoise.linalg import hermitian_eigenvalues_2x2
 from paulinoise.measures import full_report
+from paulinoise.verify import random_bloch
 
 GRID = 101
 SAMPLES = 100
@@ -191,8 +190,10 @@ def test_criterion_6_sigma2_fidelity_discrepancy(verification, cli_verify, tmp_p
     identity_residual = sigma2.residuals["fidelity_closed"]
 
     path = tmp_path / "sigma2.csv"
-    spec = SweepSpec(PauliAxis.SIGMA2, REFERENCE_STATES[PauliAxis.SIGMA2], 11)
-    write_sweep_csv(spec, sweep_reports(spec), str(path))
+    reports = sweep_reports(
+        PauliAxis.SIGMA2, REFERENCE_STATES[PauliAxis.SIGMA2], 11
+    )
+    write_sweep_csv(reports, str(path), 12)
     lines = path.read_text().splitlines()
     columns = lines[0].split(",")
     has_columns = "F_numeric" in columns and "F_paper" in columns

@@ -4,7 +4,6 @@ import pytest
 
 from paulinoise.cli import (
     CSV_HEADER,
-    SweepSpec,
     format_value,
     main,
     run_verification,
@@ -152,6 +151,13 @@ def test_sweep_rejects_single_step(capsys):
     assert "--steps" in capsys.readouterr().err
 
 
+def test_sweep_rejects_nonpositive_precision(capsys):
+    rc = main(["sweep", "--channel", "sigma1", "--bloch", "0,0,0",
+               "--steps", "2", "--precision", "0", "--out", "unused.csv"])
+    assert rc == 1
+    assert "--precision" in capsys.readouterr().err
+
+
 def test_sweep_unwritable_path_exits_one(tmp_path, capsys):
     rc = main(["sweep", "--channel", "sigma1", "--bloch", "0,0,0",
                "--steps", "2", "--out", str(tmp_path / "no-dir" / "x.csv")])
@@ -184,8 +190,8 @@ def test_sweep_round_trip(tmp_path):
           "--steps", "17", "--out", str(out)])
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
-    spec = SweepSpec(PauliAxis.SIGMA2, BlochVector(0.6, 0.5, 0.6), 17)
-    reports = {format_value(r.x, 12): r for r in sweep_reports(spec)}
+    sweep = sweep_reports(PauliAxis.SIGMA2, BlochVector(0.6, 0.5, 0.6), 17)
+    reports = {format_value(r.x, 12): r for r in sweep}
     for line in lines[1:]:
         cells = line.split(",")
         rep = reports[cells[0]]

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from helpers import hermiticity_residual
 from paulinoise import (
+    KrausChannel,
     NumericError,
     SpectrumPair,
     ValidationError,
+    check_density,
     hermitian_eigenvalues_2x2,
     spectrum_entropy,
 )
@@ -47,6 +49,28 @@ def test_eigenvalues_reject_non_hermitian():
 def test_eigenvalues_reject_wrong_shape():
     with pytest.raises(ValidationError):
         hermitian_eigenvalues_2x2(np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [check_density, hermitian_eigenvalues_2x2, lambda m: KrausChannel(ops=(m,))],
+    ids=["check_density", "eigenvalues", "kraus_channel"],
+)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.eye(3) / 3, r"must be 2x2, got shape \(3, 3\)"),
+        (np.ones((2, 3)), r"must be 2x2, got shape \(2, 3\)"),
+        ([[1.0]], r"must be 2x2, got shape \(1, 1\)"),
+        ([0.5, 0.5], r"must be 2x2, got shape \(2,\)"),
+        ([[0.5, 0.0], [0.0, np.nan]], "non-finite"),
+        ([[np.inf, 0.0], [0.0, 0.5]], "non-finite"),
+    ],
+    ids=["3x3", "2x3", "1x1", "vector", "nan", "inf"],
+)
+def test_2x2_entry_points_share_one_coercion(entry, bad, message):
+    with pytest.raises(ValidationError, match=message):
+        entry(bad)
 
 
 @given(_entry, _entry, _entry, _entry)

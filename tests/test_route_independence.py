@@ -84,7 +84,7 @@ def _plant(tree: ast.Module, function: str | None, statement: str) -> ast.Module
 @pytest.mark.parametrize(
     "module, function, statement, forbidden, roots, found",
     [
-        (closedform, "_closed_arrays", "from .channels import make_one_pauli",
+        (closedform, "closed_batch", "from .channels import make_one_pauli",
          KRAUS_NAMES, None, {"make_one_pauli"}),
         # reached from the oracle only through environment_entropy_oracle_batch
         (measures, "_eigensystem_batch", "_w_entries(kraus, rhos)",

@@ -18,13 +18,18 @@ import pytest
 from helpers import reference_values
 from paulinoise import (
     BlochVector,
+    KrausChannel,
+    ValidationError,
+    apply_channel,
     bloch_to_density,
     closedform,
     completeness_residual,
     full_report,
     make_one_pauli,
     measures,
+    verify,
 )
+from paulinoise.bloch import IDENTITY, SIGMA1
 from paulinoise.channels import PauliAxis, retention_grid
 from paulinoise.cli import main
 from paulinoise.verify import (
@@ -247,3 +252,15 @@ def test_gate_fails_on_route_drift(monkeypatch, capsys, module, name, key):
     rc = main(["verify", "--grid", str(GRID), "--samples", str(SAMPLES), "--seed", "1"])
     assert rc == 2
     assert "result: FAIL" in capsys.readouterr().out
+
+
+def test_incomplete_kraus_stack_raises_the_channel_error(monkeypatch):
+    # make_one_pauli never builds an incomplete channel, so one is injected
+    incomplete = KrausChannel(ops=(np.sqrt(0.5) * IDENTITY, np.sqrt(0.4) * SIGMA1))
+    monkeypatch.setattr(verify, "make_one_pauli", lambda axis, x: incomplete)
+    with pytest.raises(ValidationError) as scalar:
+        apply_channel(incomplete, bloch_to_density((0.0, 0.0, 0.0)))
+    with pytest.raises(ValidationError) as batched:
+        axis_routes(PauliAxis.SIGMA1, [0.0, 1.0], [BlochVector(0.0, 0.0, 0.0)])
+    assert "incomplete Kraus set" in str(scalar.value)
+    assert str(batched.value) == str(scalar.value)
