@@ -18,7 +18,6 @@ from .linalg import (
     SpectrumPair,
     _eigenvalues_2x2,
     as_matrix,
-    hermitian_eigenvalues_batch,
     spectrum_entropy,
 )
 
@@ -98,26 +97,6 @@ def check_density(rho) -> np.ndarray:
             f"density matrix has negative eigenvalue {spectrum.lo:.3e}"
         )
     return rho
-
-
-def check_density_batch(rhos) -> np.ndarray:
-    """check_density over a stack of states of shape (S, 2, 2): finite
-    entries, Hermiticity, unit trace and positivity of every state."""
-    rhos = np.asarray(rhos, dtype=complex)
-    if rhos.ndim != 3:
-        raise ValidationError(
-            f"expected a stack of density matrices, got shape {rhos.shape}"
-        )
-    spectra = hermitian_eigenvalues_batch(rhos)
-    trace_dev = float(np.abs(rhos[:, 0, 0] + rhos[:, 1, 1] - 1.0).max(initial=0.0))
-    if trace_dev > TRACE_TOL:
-        raise ValidationError(
-            f"density matrix trace deviates from 1 by {trace_dev:.3e}"
-        )
-    lowest = float(spectra[:, 1].min(initial=0.0))
-    if lowest < EIGENVALUE_FLOOR:
-        raise ValidationError(f"density matrix has negative eigenvalue {lowest:.3e}")
-    return rhos
 
 
 def _bloch_of(rho: np.ndarray) -> BlochVector:

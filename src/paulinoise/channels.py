@@ -13,7 +13,7 @@ matrix reproducible entry by entry against its closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from math import isfinite, sqrt
 
@@ -21,11 +21,8 @@ import numpy as np
 
 from .bloch import IDENTITY, SIGMAS, check_density
 from .errors import ValidationError
-from .linalg import as_matrix
 
 COMPLETENESS_TOL = 1e-13
-
-_ZERO = np.zeros((2, 2), dtype=complex)
 
 
 class PauliAxis(IntEnum):
@@ -66,7 +63,10 @@ def as_axis(value) -> PauliAxis:
 
 def check_retention(x) -> float:
     """Validate the retention rate x in [0, 1]."""
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"x must be a real number, got {x!r}") from exc
     if not isfinite(x) or not 0.0 <= x <= 1.0:
         raise ValidationError(f"x must be in [0, 1], got {x}")
     return x
@@ -81,33 +81,28 @@ def retention_grid(steps: int) -> list[float]:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Ordered Kraus operators; the order matters because it indexes the
-    exchange matrix. Construction metadata (axis, x) is optional and only
-    consumed by reporting."""
+    """The one-Pauli channel of an axis and a retention rate x. Its Kraus
+    operators ops = (A1, A2) are derived once from (axis, x); their order
+    indexes the exchange matrix. Channels compare and hash by (axis, x)."""
 
-    ops: tuple[np.ndarray, ...]
-    axis: PauliAxis | None = None
-    x: float | None = None
+    axis: PauliAxis
+    x: float
+    ops: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = tuple(as_matrix(op, f"ops[{i}]") for i, op in enumerate(self.ops))
-        if not ops:
-            raise ValidationError("channel needs at least one Kraus operator")
-        object.__setattr__(self, "ops", ops)
-        if self.axis is not None:
-            object.__setattr__(self, "axis", as_axis(self.axis))
-        if self.x is not None:
-            object.__setattr__(self, "x", check_retention(self.x))
+        axis = as_axis(self.axis)
+        x = check_retention(self.x)
+        keep = sqrt(x) * IDENTITY
+        prefactor = -1j if axis is PauliAxis.SIGMA2 else 1.0
+        flip = prefactor * sqrt(1.0 - x) * SIGMAS[axis - 1]
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "ops", (keep, flip))
 
 
 def make_one_pauli(axis, x) -> KrausChannel:
     """Build the one-Pauli channel [A1, A2] for the given axis and rate."""
-    axis = as_axis(axis)
-    x = check_retention(x)
-    keep = sqrt(x) * IDENTITY
-    prefactor = -1j if axis is PauliAxis.SIGMA2 else 1.0
-    flip = prefactor * sqrt(1.0 - x) * SIGMAS[axis - 1]
-    return KrausChannel(ops=(keep, flip), axis=axis, x=x)
+    return KrausChannel(axis, x)
 
 
 def completeness_residual(ch: KrausChannel) -> float:
@@ -116,31 +111,6 @@ def completeness_residual(ch: KrausChannel) -> float:
     for op in ch.ops:
         acc += op.conj().T @ op
     return float(np.abs(acc - IDENTITY).max())
-
-
-def _require_complete(residual: float) -> None:
-    """Raise unless a completeness residual is within COMPLETENESS_TOL."""
-    if residual > COMPLETENESS_TOL:
-        raise ValidationError(
-            f"incomplete Kraus set: completeness residual {residual:.3e} "
-            f"exceeds {COMPLETENESS_TOL}"
-        )
-
-
-def _require_valid(ch: KrausChannel, rho) -> np.ndarray:
-    _require_complete(completeness_residual(ch))
-    return check_density(rho)
-
-
-def _kraus_pair(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    """The channel's Kraus operators as exactly two, a single operator
-    padded with a zero one, which changes no measure; the spectral routes
-    cover no more than two."""
-    if len(ch.ops) > 2:
-        raise ValidationError(
-            f"spectra beyond two Kraus operators are out of scope, got {len(ch.ops)}"
-        )
-    return ch.ops + (_ZERO,) * (2 - len(ch.ops))
 
 
 def _output_state(ops, rho: np.ndarray) -> np.ndarray:
@@ -152,4 +122,4 @@ def _output_state(ops, rho: np.ndarray) -> np.ndarray:
 
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
     """Channel action sum_i A_i rho A_i^dagger on a density matrix."""
-    return check_density(_output_state(ch.ops, _require_valid(ch, rho)))
+    return check_density(_output_state(ch.ops, check_density(rho)))

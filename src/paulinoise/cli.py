@@ -14,6 +14,8 @@ from .verify import (
     REFERENCE_STATES,
     RESIDUAL_LIMIT,
     VerificationReport,
+    check_samples,
+    check_seed,
     run_verification,
 )
 
@@ -164,6 +166,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # The same checks run_verification makes, each named by its flag.
+    _flagged("--grid", retention_grid, args.grid)
+    _flagged("--samples", check_samples, args.samples)
+    _flagged("--seed", check_seed, args.seed)
     report = run_verification(args.grid, args.samples, args.seed)
     print(format_verification(report))
     return 0 if report.passed else 2

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform
-from .bloch import SIGMAS, BlochVector, _bloch_of
-from .channels import KrausChannel, _kraus_pair, _output_state, _require_valid
+from .bloch import SIGMAS, BlochVector, _bloch_of, check_density
+from .channels import KrausChannel, _output_state
 from .linalg import (
     SpectrumPair,
     hermitian_eigenvalues_2x2,
@@ -36,10 +36,9 @@ _SIGMA_STACK = np.array(SIGMAS)
 
 @dataclass(frozen=True)
 class ChannelReport:
-    """Every measure at one operating point. x and fidelity_paper are None
-    when the channel carries no construction metadata."""
+    """Every measure at one operating point."""
 
-    x: float | None
+    x: float
     bloch_in: BlochVector
     bloch_out: BlochVector
     h_in: float
@@ -47,19 +46,19 @@ class ChannelReport:
     noise_n: float
     coherent_c: float
     fidelity_numeric: float
-    fidelity_paper: float | None
+    fidelity_paper: float
     lambdas: SpectrumPair
     thetas: SpectrumPair
     mutual_info: float
 
 
 # Internal cores working on pre-validated inputs. The public functions
-# validate once (channels._require_valid) and then call these.
+# validate the state once (check_density) and then call these; a channel is
+# valid from its construction.
 
 
 def _w_entries(ops, rho: np.ndarray) -> np.ndarray:
-    n = len(ops)
-    w = np.empty((n, n), dtype=complex)
+    w = np.empty((2, 2), dtype=complex)
     for i, op_i in enumerate(ops):
         left = op_i @ rho
         for j, op_j in enumerate(ops):
@@ -77,7 +76,7 @@ def _fidelity_sum(ops, rho: np.ndarray) -> float:
 
 def w_matrix(ch: KrausChannel, rho) -> np.ndarray:
     """Exchange matrix with entry (i, j) = Tr(A_i rho A_j^dagger)."""
-    return _w_entries(ch.ops, _require_valid(ch, rho))
+    return _w_entries(ch.ops, check_density(rho))
 
 
 def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
@@ -88,8 +87,8 @@ def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
     and the entropy of the resulting environment state is returned. Must
     agree with full_report's noise_n for every valid input.
     """
-    rho = _require_valid(ch, rho)
-    kraus = np.array([_kraus_pair(ch)])
+    rho = check_density(rho)
+    kraus = np.array([ch.ops])
     return float(environment_entropy_oracle_batch(kraus, rho[None])[0, 0])
 
 
@@ -100,8 +99,8 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
     still enforced through the spectral guards (Hermiticity residual,
     eigenvalue floor) on everything derived from it.
     """
-    rho = _require_valid(ch, rho)
-    ops = _kraus_pair(ch)
+    rho = check_density(rho)
+    ops = ch.ops
     bloch_in = _bloch_of(rho)
     h_in = spectrum_entropy(hermitian_eigenvalues_2x2(rho))
     out = _output_state(ops, rho)
@@ -109,9 +108,6 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
     h_out = spectrum_entropy(thetas)
     lambdas = hermitian_eigenvalues_2x2(_w_entries(ops, rho))
     noise_n = spectrum_entropy(lambdas)
-    fidelity_paper = None
-    if ch.axis is not None and ch.x is not None:
-        fidelity_paper = closedform.fidelity_paper_closed(ch.axis, ch.x, bloch_in)
     return ChannelReport(
         x=ch.x,
         bloch_in=bloch_in,
@@ -121,7 +117,7 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
         noise_n=noise_n,
         coherent_c=h_out - noise_n,
         fidelity_numeric=_fidelity_sum(ops, rho),
-        fidelity_paper=fidelity_paper,
+        fidelity_paper=closedform.fidelity_paper_closed(ch.axis, ch.x, bloch_in),
         lambdas=lambdas,
         thetas=thetas,
         mutual_info=h_in + h_out - noise_n,
@@ -129,8 +125,8 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
 
 
 # Batched routes. kraus has shape (G, 2, 2, 2): two Kraus operators for each
-# of G channels; rhos has shape (S, 2, 2). Both are validated by the caller
-# (completeness per channel, check_density_batch on the states); every
+# of G channels; rhos has shape (S, 2, 2). Both are valid by construction:
+# the stack from KrausChannel, the states from bloch_to_density. Every
 # result has leading shape (G, S).
 
 

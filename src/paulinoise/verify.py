@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closedform, measures
-from .bloch import BlochVector, bloch_to_density, check_density_batch
+from .bloch import BlochVector, bloch_to_density
 from .channels import (
     COMPLETENESS_TOL,
     PauliAxis,
-    _require_complete,
     completeness_residual,
     make_one_pauli,
     retention_grid,
@@ -122,14 +121,14 @@ def axis_routes(
     RESIDUAL_ROUTES, with leading shape (G, S) over the retention rates in
     grid and the Bloch vectors in states; "completeness" has shape (G,).
 
-    Inputs are validated once per axis: completeness at every grid point,
-    and the Bloch norm, trace and positivity of every state.
+    Inputs are valid by construction: each channel checks its axis and x,
+    and bloch_to_density checks each Bloch vector. Completeness is measured
+    here and gated by AxisVerification.passed.
     """
     channels = [make_one_pauli(axis, x) for x in grid]
     completeness = np.array([completeness_residual(ch) for ch in channels])
-    _require_complete(float(completeness.max()))
     kraus = np.array([ch.ops for ch in channels])
-    rhos = check_density_batch([bloch_to_density(a) for a in states])
+    rhos = np.array([bloch_to_density(a) for a in states])
     x = np.array(grid)[:, None]
     a = np.array(states)
     routes = {"completeness": completeness}
@@ -178,6 +177,18 @@ def reduce_routes(axis: PauliAxis, routes: dict[str, np.ndarray]) -> AxisVerific
     return av
 
 
+def check_samples(samples: int) -> int:
+    if samples < 1:
+        raise ValidationError(f"samples must be >= 1, got {samples}")
+    return samples
+
+
+def check_seed(seed: int) -> int:
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def run_verification(grid_steps: int, samples: int, seed: int) -> VerificationReport:
     """Cross-validate the closed forms against the generic Kraus path.
 
@@ -186,9 +197,8 @@ def run_verification(grid_steps: int, samples: int, seed: int) -> VerificationRe
     arrays of one axis are reduced before the next axis is evaluated.
     """
     grid = retention_grid(grid_steps)
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
+    check_samples(samples)
+    rng = np.random.default_rng(check_seed(seed))
     report = VerificationReport(grid_steps=grid_steps, samples=samples, seed=seed)
     for axis in PauliAxis:
         states = [random_bloch(rng) for _ in range(samples)]

@@ -44,7 +44,7 @@ def test_construction_metadata():
     assert ch.x == 0.25
 
 
-@pytest.mark.parametrize("x", [-0.1, 1.0000001, float("nan")])
+@pytest.mark.parametrize("x", [-0.1, 1.0000001, float("nan"), None, "abc"])
 def test_retention_out_of_range(x):
     with pytest.raises(ValidationError):
         make_one_pauli(1, x)
@@ -59,22 +59,18 @@ def test_axis_coercion():
         as_axis("sigma4")
 
 
-def test_channel_requires_operators():
-    with pytest.raises(ValidationError):
-        KrausChannel(ops=())
+def test_channel_is_a_value_of_axis_and_rate():
+    ch = KrausChannel(1, 0.5)
+    assert ch == make_one_pauli("sigma1", 0.5)
+    assert hash(ch) == hash(make_one_pauli("sigma1", 0.5))
+    assert ch != KrausChannel(1, 0.25)
+    assert ch != KrausChannel(3, 0.5)
+    assert len({ch, make_one_pauli(PauliAxis.SIGMA1, 0.5)}) == 1
 
 
-def test_completeness_of_constructed_channel():
-    assert completeness_residual(make_one_pauli(1, 0.3)) <= 1e-15
-
-
-def test_completeness_identity_channel():
-    assert completeness_residual(KrausChannel(ops=(IDENTITY,))) == 0.0
-
-
-def test_completeness_of_incomplete_set():
-    half = KrausChannel(ops=(np.sqrt(0.5) * IDENTITY,))
-    assert completeness_residual(half) == pytest.approx(0.5, abs=1e-15)
+@given(axes(), retentions())
+def test_completeness_of_constructed_channel(axis, x):
+    assert completeness_residual(make_one_pauli(axis, x)) <= 1e-15
 
 
 def test_apply_kills_transverse_components_at_half():
@@ -98,12 +94,6 @@ def test_apply_sigma3_flips_transverse_sign():
     assert b.a1 == pytest.approx(-0.36, abs=1e-15)
     assert b.a2 == pytest.approx(-0.36, abs=1e-15)
     assert b.a3 == pytest.approx(0.5, abs=1e-15)
-
-
-def test_apply_rejects_incomplete_channel():
-    half = KrausChannel(ops=(np.sqrt(0.5) * IDENTITY,))
-    with pytest.raises(ValidationError, match="completeness residual"):
-        apply_channel(half, np.eye(2) / 2)
 
 
 @settings(max_examples=60)

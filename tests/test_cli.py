@@ -220,6 +220,22 @@ def test_verify_rejects_degenerate_grid(capsys):
     assert "grid must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--grid", "1", "--grid: grid must be >= 2, got 1"),
+        ("--samples", "0", "--samples: samples must be >= 1, got 0"),
+        ("--seed", "-1", "--seed: seed must be >= 0, got -1"),
+    ],
+    ids=["grid", "samples", "seed"],
+)
+def test_verify_names_the_bad_flag(capsys, flag, value, message):
+    argv = {"--grid": "5", "--samples": "2", "--seed": "1", flag: value}
+    rc = main(["verify", *(item for pair in argv.items() for item in pair)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_two_point_grid_counts_endpoints(capsys):
     rc = main(["verify", "--grid", "2", "--samples", "1", "--seed", "7"])
     assert rc == 0

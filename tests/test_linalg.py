@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from helpers import hermiticity_residual
 from paulinoise import (
-    KrausChannel,
     NumericError,
     SpectrumPair,
     ValidationError,
@@ -53,8 +52,8 @@ def test_eigenvalues_reject_wrong_shape():
 
 @pytest.mark.parametrize(
     "entry",
-    [check_density, hermitian_eigenvalues_2x2, lambda m: KrausChannel(ops=(m,))],
-    ids=["check_density", "eigenvalues", "kraus_channel"],
+    [check_density, hermitian_eigenvalues_2x2],
+    ids=["check_density", "eigenvalues"],
 )
 @pytest.mark.parametrize(
     "bad, message",

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 
 from helpers import axes, bloch_vectors, hermiticity_residual, reference, retentions
 from paulinoise import (
-    KrausChannel,
-    ValidationError,
     bloch_to_density,
     environment_entropy_oracle,
     full_report,
@@ -15,7 +13,6 @@ from paulinoise import (
     make_one_pauli,
     w_matrix,
 )
-from paulinoise.bloch import IDENTITY
 
 # binary entropy of (1 + sqrt(0.97))/2, evaluated with 50-digit arithmetic;
 # the input entropy of every reference state used below
@@ -169,34 +166,6 @@ def test_oracle_survives_nearly_degenerate_input():
     )
 
 
-def test_oracle_handles_single_operator_channel():
-    ch = KrausChannel(ops=(IDENTITY,))
-    assert environment_entropy_oracle(ch, _rho((0.3, 0.1, -0.5))) == 0.0
-
-
-def test_entropy_exchange_single_operator_channel():
-    ch = KrausChannel(ops=(IDENTITY,))
-    assert full_report(ch, _rho((0.3, 0.1, -0.5))).noise_n == 0.0
-
-
-def test_three_operator_channels_are_out_of_scope_for_spectra():
-    lam = 0.4
-    ch = KrausChannel(
-        ops=(
-            np.sqrt(1 - lam) * IDENTITY,
-            np.sqrt(lam) * np.diag([1, 0]).astype(complex),
-            np.sqrt(lam) * np.diag([0, 1]).astype(complex),
-        )
-    )
-    rho = _rho((0.2, 0.2, 0.2))
-    w = w_matrix(ch, rho)  # the matrix itself is fine
-    assert w.shape == (3, 3)
-    with pytest.raises(ValidationError):
-        full_report(ch, rho)
-    with pytest.raises(ValidationError):
-        environment_entropy_oracle(ch, rho)
-
-
 def test_full_report_noiseless_endpoint():
     rep = full_report(make_one_pauli(1, 1.0), _rho((0.5, 0.6, 0.6)))
     assert rep.x == 1.0
@@ -218,14 +187,6 @@ def test_full_report_exposes_both_fidelities():
     rep = full_report(make_one_pauli(2, 0.0), _rho((0.6, 0.5, 0.6)))
     assert rep.fidelity_numeric == pytest.approx(0.25, abs=1e-12)
     assert rep.fidelity_paper == pytest.approx(-0.25, abs=1e-12)
-
-
-def test_full_report_without_metadata_marks_fields_absent():
-    bare = KrausChannel(ops=make_one_pauli(1, 0.5).ops)
-    rep = full_report(bare, _rho((0.5, 0.6, 0.6)))
-    assert rep.x is None
-    assert rep.fidelity_paper is None
-    assert rep.coherent_c == rep.h_out - rep.noise_n
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,6 +11,7 @@ reference within 1e-13.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,9 +19,6 @@ import pytest
 from helpers import reference_values
 from paulinoise import (
     BlochVector,
-    KrausChannel,
-    ValidationError,
-    apply_channel,
     bloch_to_density,
     closedform,
     completeness_residual,
@@ -36,6 +34,7 @@ from paulinoise.verify import (
     REFERENCE_STATES,
     RESIDUAL_LIMIT,
     RESIDUAL_ROUTES,
+    AxisVerification,
     axis_routes,
     random_bloch,
     run_verification,
@@ -254,13 +253,21 @@ def test_gate_fails_on_route_drift(monkeypatch, capsys, module, name, key):
     assert "result: FAIL" in capsys.readouterr().out
 
 
-def test_incomplete_kraus_stack_raises_the_channel_error(monkeypatch):
-    # make_one_pauli never builds an incomplete channel, so one is injected
-    incomplete = KrausChannel(ops=(np.sqrt(0.5) * IDENTITY, np.sqrt(0.4) * SIGMA1))
+def test_incomplete_kraus_stack_fails_the_gate(monkeypatch, capsys):
+    # make_one_pauli never builds an incomplete channel, so one is injected:
+    # sum_i A_i^dagger A_i = 0.9 I
+    incomplete = SimpleNamespace(ops=(np.sqrt(0.5) * IDENTITY, np.sqrt(0.4) * SIGMA1))
     monkeypatch.setattr(verify, "make_one_pauli", lambda axis, x: incomplete)
-    with pytest.raises(ValidationError) as scalar:
-        apply_channel(incomplete, bloch_to_density((0.0, 0.0, 0.0)))
-    with pytest.raises(ValidationError) as batched:
-        axis_routes(PauliAxis.SIGMA1, [0.0, 1.0], [BlochVector(0.0, 0.0, 0.0)])
-    assert "incomplete Kraus set" in str(scalar.value)
-    assert str(batched.value) == str(scalar.value)
+    rc = main(["verify", "--grid", str(GRID), "--samples", str(SAMPLES), "--seed", "1"])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert out.count("  completeness residual       = 1.000e-01") == 3
+    assert "result: FAIL" in out
+
+
+def test_completeness_alone_fails_an_axis():
+    residuals = dict.fromkeys(RESIDUAL_ROUTES, 0.0)
+    assert AxisVerification(PauliAxis.SIGMA1, residuals).passed
+    assert not AxisVerification(
+        PauliAxis.SIGMA1, residuals, completeness_max=2e-13
+    ).passed
