@@ -13,14 +13,11 @@ from .bloch import (
     bloch_to_density,
     check_bloch,
     check_density,
-    density_to_bloch,
     parse_bloch,
-    state_entropy,
 )
 from .channels import (
     KrausChannel,
     PauliAxis,
-    apply_channel,
     check_retention,
     completeness_residual,
     make_one_pauli,
@@ -40,10 +37,9 @@ from .measures import (
     ChannelReport,
     environment_entropy_oracle,
     full_report,
-    w_matrix,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BlochVector",
@@ -54,14 +50,12 @@ __all__ = [
     "PauliAxis",
     "SpectrumPair",
     "ValidationError",
-    "apply_channel",
     "bloch_to_density",
     "check_bloch",
     "check_density",
     "check_retention",
     "closed_point",
     "completeness_residual",
-    "density_to_bloch",
     "environment_entropy_oracle",
     "fidelity_paper_closed",
     "full_report",
@@ -69,6 +63,4 @@ __all__ = [
     "make_one_pauli",
     "parse_bloch",
     "spectrum_entropy",
-    "state_entropy",
-    "w_matrix",
 ]

@@ -13,13 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (
-    EIGENVALUE_FLOOR,
-    SpectrumPair,
-    _eigenvalues_2x2,
-    as_matrix,
-    spectrum_entropy,
-)
+from .linalg import EIGENVALUE_FLOOR, _eigenvalues_2x2, as_matrix
 
 BLOCH_NORM_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -101,20 +95,3 @@ def check_density(rho) -> np.ndarray:
 
 def _bloch_of(rho: np.ndarray) -> BlochVector:
     return BlochVector(*(float(np.vdot(pauli, rho).real) for pauli in SIGMAS))
-
-
-def density_to_bloch(rho) -> BlochVector:
-    """Bloch components a_k = Tr(rho sigma_k); inverse of bloch_to_density."""
-    return _bloch_of(check_density(rho))
-
-
-def state_entropy(a) -> float:
-    """Von Neumann entropy in bits of the state with Bloch vector a.
-
-    The eigenvalues of (I + a . sigma)/2 are (1 +- |a|)/2, so this is the
-    binary entropy of (1 + |a|)/2; 1 for the maximally mixed state and 0
-    for any pure state.
-    """
-    a = check_bloch(a)
-    n = a.norm
-    return spectrum_entropy(SpectrumPair((1.0 + n) / 2.0, (1.0 - n) / 2.0))

@@ -1,4 +1,4 @@
-"""Kraus-operator construction and application of one-Pauli qubit channels.
+"""Kraus-operator construction of one-Pauli qubit channels.
 
 A one-Pauli channel keeps the state with probability x (the retention
 rate) and applies a single Pauli error with probability 1 - x:
@@ -13,13 +13,14 @@ matrix reproducible entry by entry against its closed form.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
 from math import isfinite, sqrt
 
 import numpy as np
 
-from .bloch import IDENTITY, SIGMAS, check_density
+from .bloch import IDENTITY, SIGMAS
 from .errors import ValidationError
 
 COMPLETENESS_TOL = 1e-13
@@ -72,8 +73,19 @@ def check_retention(x) -> float:
     return x
 
 
-def retention_grid(steps: int) -> list[float]:
+def as_count(value, name: str) -> int:
+    """Coerce an integer argument; bools and non-integral numbers fail."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def retention_grid(steps) -> list[float]:
     """Evenly spaced retention rates i/(steps-1), both endpoints included."""
+    steps = as_count(steps, "grid")
     if steps < 2:
         raise ValidationError(f"grid must be >= 2, got {steps}")
     return [i / (steps - 1) for i in range(steps)]
@@ -111,15 +123,3 @@ def completeness_residual(ch: KrausChannel) -> float:
     for op in ch.ops:
         acc += op.conj().T @ op
     return float(np.abs(acc - IDENTITY).max())
-
-
-def _output_state(ops, rho: np.ndarray) -> np.ndarray:
-    out = np.zeros((2, 2), dtype=complex)
-    for op in ops:
-        out += op @ rho @ op.conj().T
-    return out
-
-
-def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
-    """Channel action sum_i A_i rho A_i^dagger on a density matrix."""
-    return check_density(_output_state(ch.ops, check_density(rho)))

@@ -5,7 +5,7 @@ so that the generic Kraus path can cross-validate them and any typo in the
 source formulas surfaces as a residual instead of being silently corrected.
 closed_batch evaluates them over a grid of retention rates and a set of
 Bloch vectors; closed_point is that computation on a batch of one, and
-fidelity_paper_closed, which the sweep calls per row, its scalar form.
+fidelity_paper_closed its scalar form.
 The known case is the axis-2 fidelity, whose printed sign disagrees with
 the trace-form definition; see fidelity_paper_closed.
 """

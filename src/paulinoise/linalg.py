@@ -54,7 +54,8 @@ def hermitian_eigenvalues_2x2(m) -> SpectrumPair:
 
 
 def _eigenvalues_2x2(m: np.ndarray) -> SpectrumPair:
-    """hermitian_eigenvalues_2x2 of a matrix that as_matrix has coerced."""
+    """hermitian_eigenvalues_2x2 without the coercion, for a state that
+    check_density has coerced and the matrices full_report builds from it."""
     residual = float(np.abs(m - m.conj().T).max())
     if residual > HERMITICITY_TOL:
         raise ValidationError(

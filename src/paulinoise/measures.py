@@ -7,8 +7,8 @@ information. The entangled fidelity sum_mu |Tr(rho A_mu)|^2 measures how
 well the channel preserves the state together with its entanglement.
 
 environment_entropy_oracle recomputes N from first principles through the
-system-environment dilation. It shares no intermediate quantities with
-w_matrix, which makes the pair a genuine two-route consistency check.
+system-environment dilation. It shares no intermediate quantities with W,
+which makes the pair a genuine two-route consistency check.
 
 report_batch and environment_entropy_oracle_batch evaluate the same two
 routes over a grid of channels and a set of states at once.
@@ -22,10 +22,10 @@ import numpy as np
 
 from . import closedform
 from .bloch import SIGMAS, BlochVector, _bloch_of, check_density
-from .channels import KrausChannel, _output_state
+from .channels import KrausChannel
 from .linalg import (
     SpectrumPair,
-    hermitian_eigenvalues_2x2,
+    _eigenvalues_2x2,
     hermitian_eigenvalues_batch,
     spectrum_entropy,
     spectrum_entropy_batch,
@@ -57,6 +57,13 @@ class ChannelReport:
 # valid from its construction.
 
 
+def _output_state(ops, rho: np.ndarray) -> np.ndarray:
+    out = np.zeros((2, 2), dtype=complex)
+    for op in ops:
+        out += op @ rho @ op.conj().T
+    return out
+
+
 def _w_entries(ops, rho: np.ndarray) -> np.ndarray:
     w = np.empty((2, 2), dtype=complex)
     for i, op_i in enumerate(ops):
@@ -72,11 +79,6 @@ def _fidelity_sum(ops, rho: np.ndarray) -> float:
         t = complex(np.trace(rho @ op))
         total += t.real * t.real + t.imag * t.imag
     return total
-
-
-def w_matrix(ch: KrausChannel, rho) -> np.ndarray:
-    """Exchange matrix with entry (i, j) = Tr(A_i rho A_j^dagger)."""
-    return _w_entries(ch.ops, check_density(rho))
 
 
 def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
@@ -95,18 +97,18 @@ def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
 def full_report(ch: KrausChannel, rho) -> ChannelReport:
     """Evaluate every measure at one operating point.
 
-    Inputs are validated once up front; the output-state invariants are
-    still enforced through the spectral guards (Hermiticity residual,
-    eigenvalue floor) on everything derived from it.
+    The state is validated once, by check_density, and the channel by its
+    constructor; the cores' spectral guards (Hermiticity, discriminant,
+    spectrum bounds) still run on everything derived from them.
     """
     rho = check_density(rho)
     ops = ch.ops
     bloch_in = _bloch_of(rho)
-    h_in = spectrum_entropy(hermitian_eigenvalues_2x2(rho))
+    h_in = spectrum_entropy(_eigenvalues_2x2(rho))
     out = _output_state(ops, rho)
-    thetas = hermitian_eigenvalues_2x2(out)
+    thetas = _eigenvalues_2x2(out)
     h_out = spectrum_entropy(thetas)
-    lambdas = hermitian_eigenvalues_2x2(_w_entries(ops, rho))
+    lambdas = _eigenvalues_2x2(_w_entries(ops, rho))
     noise_n = spectrum_entropy(lambdas)
     return ChannelReport(
         x=ch.x,
@@ -117,7 +119,9 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
         noise_n=noise_n,
         coherent_c=h_out - noise_n,
         fidelity_numeric=_fidelity_sum(ops, rho),
-        fidelity_paper=closedform.fidelity_paper_closed(ch.axis, ch.x, bloch_in),
+        fidelity_paper=closedform._fidelity_paper(
+            ch.axis, ch.x, bloch_in[ch.axis - 1]
+        ),
         lambdas=lambdas,
         thetas=thetas,
         mutual_info=h_in + h_out - noise_n,

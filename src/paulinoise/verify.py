@@ -21,6 +21,7 @@ from .bloch import BlochVector, bloch_to_density
 from .channels import (
     COMPLETENESS_TOL,
     PauliAxis,
+    as_count,
     completeness_residual,
     make_one_pauli,
     retention_grid,
@@ -177,13 +178,15 @@ def reduce_routes(axis: PauliAxis, routes: dict[str, np.ndarray]) -> AxisVerific
     return av
 
 
-def check_samples(samples: int) -> int:
+def check_samples(samples) -> int:
+    samples = as_count(samples, "samples")
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     return samples
 
 
-def check_seed(seed: int) -> int:
+def check_seed(seed) -> int:
+    seed = as_count(seed, "seed")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     return seed
@@ -197,9 +200,9 @@ def run_verification(grid_steps: int, samples: int, seed: int) -> VerificationRe
     arrays of one axis are reduced before the next axis is evaluated.
     """
     grid = retention_grid(grid_steps)
-    check_samples(samples)
-    rng = np.random.default_rng(check_seed(seed))
-    report = VerificationReport(grid_steps=grid_steps, samples=samples, seed=seed)
+    samples, seed = check_samples(samples), check_seed(seed)
+    rng = np.random.default_rng(seed)
+    report = VerificationReport(grid_steps=len(grid), samples=samples, seed=seed)
     for axis in PauliAxis:
         states = [random_bloch(rng) for _ in range(samples)]
         states.append(REFERENCE_STATES[axis])

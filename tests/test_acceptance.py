@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import hermiticity_residual
-from paulinoise import apply_channel, bloch_to_density, make_one_pauli
+from paulinoise import bloch_to_density, make_one_pauli
 from paulinoise.bloch import BlochVector
 from paulinoise.channels import PauliAxis
 from paulinoise.cli import (
@@ -27,7 +27,7 @@ from paulinoise.cli import (
     write_sweep_csv,
 )
 from paulinoise.linalg import hermitian_eigenvalues_2x2
-from paulinoise.measures import full_report
+from paulinoise.measures import _output_state, full_report
 from paulinoise.verify import random_bloch
 
 GRID = 101
@@ -93,7 +93,7 @@ def test_criterion_3_completeness_and_state_validity(verification):
     for axis, bloch in REFERENCE_STATES.items():
         rho = bloch_to_density(bloch)
         for x in retention_grid(GRID):
-            out = apply_channel(make_one_pauli(axis, x), rho)
+            out = _output_state(make_one_pauli(axis, x).ops, rho)
             worst_herm = max(worst_herm, hermiticity_residual(out))
             worst_trace = max(worst_trace, abs(np.trace(out).real - 1.0))
             lowest_eigenvalue = min(

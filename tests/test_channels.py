@@ -7,15 +7,14 @@ from paulinoise import (
     KrausChannel,
     PauliAxis,
     ValidationError,
-    apply_channel,
     bloch_to_density,
     completeness_residual,
-    density_to_bloch,
     make_one_pauli,
 )
-from paulinoise.bloch import IDENTITY, SIGMA1
+from paulinoise.bloch import IDENTITY, SIGMA1, _bloch_of
 from paulinoise.channels import as_axis
 from paulinoise.linalg import hermitian_eigenvalues_2x2
+from paulinoise.measures import _output_state
 
 
 def test_noiseless_endpoint_is_identity_plus_zero():
@@ -74,8 +73,9 @@ def test_completeness_of_constructed_channel(axis, x):
 
 
 def test_apply_kills_transverse_components_at_half():
-    out = apply_channel(make_one_pauli(1, 0.5), bloch_to_density((0.5, 0.6, 0.6)))
-    b = density_to_bloch(out)
+    ops = make_one_pauli(1, 0.5).ops
+    out = _output_state(ops, bloch_to_density((0.5, 0.6, 0.6)))
+    b = _bloch_of(out)
     assert b.a1 == pytest.approx(0.5, abs=1e-15)
     assert b.a2 == pytest.approx(0.0, abs=1e-15)
     assert b.a3 == pytest.approx(0.0, abs=1e-15)
@@ -84,13 +84,14 @@ def test_apply_kills_transverse_components_at_half():
 @given(axes(), bloch_vectors())
 def test_apply_is_identity_at_x_one(axis, a):
     rho = bloch_to_density(a)
-    assert np.allclose(apply_channel(make_one_pauli(axis, 1.0), rho), rho,
+    assert np.allclose(_output_state(make_one_pauli(axis, 1.0).ops, rho), rho,
                        atol=1e-15)
 
 
 def test_apply_sigma3_flips_transverse_sign():
-    out = apply_channel(make_one_pauli(3, 0.2), bloch_to_density((0.6, 0.6, 0.5)))
-    b = density_to_bloch(out)
+    ops = make_one_pauli(3, 0.2).ops
+    out = _output_state(ops, bloch_to_density((0.6, 0.6, 0.5)))
+    b = _bloch_of(out)
     assert b.a1 == pytest.approx(-0.36, abs=1e-15)
     assert b.a2 == pytest.approx(-0.36, abs=1e-15)
     assert b.a3 == pytest.approx(0.5, abs=1e-15)
@@ -99,8 +100,8 @@ def test_apply_sigma3_flips_transverse_sign():
 @settings(max_examples=60)
 @given(axes(), retentions(), bloch_vectors())
 def test_axis_component_preserved_transverse_scaled(axis, x, a):
-    out = apply_channel(make_one_pauli(axis, x), bloch_to_density(a))
-    b = density_to_bloch(out)
+    out = _output_state(make_one_pauli(axis, x).ops, bloch_to_density(a))
+    b = _bloch_of(out)
     scale = 2 * x - 1
     for k in range(3):
         expected = a[k] if k == axis - 1 else scale * a[k]
@@ -111,9 +112,11 @@ def test_axis_component_preserved_transverse_scaled(axis, x, a):
 @given(axes(), retentions(), bloch_vectors())
 def test_output_spectra_agree_at_x_and_one_minus_x(axis, x, a):
     rho = bloch_to_density(a)
-    direct = hermitian_eigenvalues_2x2(apply_channel(make_one_pauli(axis, x), rho))
+    direct = hermitian_eigenvalues_2x2(
+        _output_state(make_one_pauli(axis, x).ops, rho)
+    )
     mirrored = hermitian_eigenvalues_2x2(
-        apply_channel(make_one_pauli(axis, 1 - x), rho)
+        _output_state(make_one_pauli(axis, 1 - x).ops, rho)
     )
     assert direct.hi == pytest.approx(mirrored.hi, abs=1e-12)
     assert direct.lo == pytest.approx(mirrored.lo, abs=1e-12)
@@ -122,13 +125,13 @@ def test_output_spectra_agree_at_x_and_one_minus_x(axis, x, a):
 @settings(max_examples=60)
 @given(axes(), retentions(), bloch_vectors())
 def test_output_positivity(axis, x, a):
-    out = apply_channel(make_one_pauli(axis, x), bloch_to_density(a))
+    out = _output_state(make_one_pauli(axis, x).ops, bloch_to_density(a))
     assert hermitian_eigenvalues_2x2(out).lo >= -1e-12
 
 
 @given(axes(), bloch_vectors())
 def test_channel_at_half_is_a_projection(axis, a):
     ch = make_one_pauli(axis, 0.5)
-    once = apply_channel(ch, bloch_to_density(a))
-    twice = apply_channel(ch, once)
+    once = _output_state(ch.ops, bloch_to_density(a))
+    twice = _output_state(ch.ops, once)
     assert np.allclose(twice, once, atol=1e-13)

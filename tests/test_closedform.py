@@ -7,18 +7,14 @@ from paulinoise import (
     BlochVector,
     PauliAxis,
     ValidationError,
-    apply_channel,
     bloch_to_density,
     closed_point,
-    density_to_bloch,
     fidelity_paper_closed,
     full_report,
     make_one_pauli,
-    w_matrix,
 )
 from paulinoise import NumericError, closedform
 from paulinoise.closedform import closed_batch
-from paulinoise.linalg import hermitian_eigenvalues_2x2
 
 H_REF = 0.06412343509793366        # binary entropy of (1 + sqrt(0.97))/2
 H_THREE_QUARTERS = 0.8112781244591328
@@ -207,23 +203,18 @@ def test_lambdas_accurate_for_tiny_axis_component(axis, x, a):
 @settings(max_examples=80, deadline=None)
 @given(axes(), retentions(), bloch_vectors())
 def test_closed_forms_match_generic_path(axis, x, a):
-    ch = make_one_pauli(axis, x)
-    rho = bloch_to_density(a)
+    rep = full_report(make_one_pauli(axis, x), bloch_to_density(a))
     point = closed_point(axis, x, a)
 
-    b_numeric = density_to_bloch(apply_channel(ch, rho))
-    for have, want in zip(b_numeric, point.b):
+    for have, want in zip(rep.bloch_out, point.b):
         assert have == pytest.approx(want, abs=1e-12)
 
-    lam_numeric = hermitian_eigenvalues_2x2(w_matrix(ch, rho))
-    assert lam_numeric.hi == pytest.approx(point.lambdas.hi, abs=1e-12)
-    assert lam_numeric.lo == pytest.approx(point.lambdas.lo, abs=1e-12)
+    assert rep.lambdas.hi == pytest.approx(point.lambdas.hi, abs=1e-12)
+    assert rep.lambdas.lo == pytest.approx(point.lambdas.lo, abs=1e-12)
 
-    theta_numeric = hermitian_eigenvalues_2x2(apply_channel(ch, rho))
-    assert theta_numeric.hi == pytest.approx(point.thetas.hi, abs=1e-12)
-    assert theta_numeric.lo == pytest.approx(point.thetas.lo, abs=1e-12)
+    assert rep.thetas.hi == pytest.approx(point.thetas.hi, abs=1e-12)
+    assert rep.thetas.lo == pytest.approx(point.thetas.lo, abs=1e-12)
 
-    rep = full_report(ch, rho)
     assert point.noise_n == pytest.approx(rep.noise_n, abs=1e-12)
     assert point.coherent_c == pytest.approx(rep.coherent_c, abs=1e-12)
 

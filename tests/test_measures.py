@@ -11,8 +11,9 @@ from paulinoise import (
     full_report,
     hermitian_eigenvalues_2x2,
     make_one_pauli,
-    w_matrix,
 )
+from paulinoise import bloch, closedform, linalg
+from paulinoise.measures import _w_entries
 
 # binary entropy of (1 + sqrt(0.97))/2, evaluated with 50-digit arithmetic;
 # the input entropy of every reference state used below
@@ -28,25 +29,25 @@ def _rho(a):
 
 
 def test_w_matrix_sigma1_halfway():
-    w = w_matrix(make_one_pauli(1, 0.5), _rho((0.5, 0.6, 0.6)))
+    w = _w_entries(make_one_pauli(1, 0.5).ops, _rho((0.5, 0.6, 0.6)))
     assert np.allclose(w, [[0.5, 0.25], [0.25, 0.5]], atol=1e-15)
 
 
 def test_w_matrix_sigma2_imaginary_off_diagonal():
-    w = w_matrix(make_one_pauli(2, 0.5), _rho((0.6, 0.5, 0.6)))
+    w = _w_entries(make_one_pauli(2, 0.5).ops, _rho((0.6, 0.5, 0.6)))
     assert np.allclose(w, [[0.5, 0.25j], [-0.25j, 0.5]], atol=1e-15)
 
 
 @pytest.mark.parametrize("axis", [1, 2, 3])
 def test_w_matrix_noiseless_endpoint(axis):
-    w = w_matrix(make_one_pauli(axis, 1.0), _rho((0.3, -0.2, 0.5)))
+    w = _w_entries(make_one_pauli(axis, 1.0).ops, _rho((0.3, -0.2, 0.5)))
     assert np.allclose(w, [[1, 0], [0, 0]], atol=1e-15)
 
 
 @settings(max_examples=60)
 @given(axes(), retentions(), bloch_vectors())
 def test_w_matrix_invariants(axis, x, a):
-    w = w_matrix(make_one_pauli(axis, x), _rho(a))
+    w = _w_entries(make_one_pauli(axis, x).ops, _rho(a))
     assert hermiticity_residual(w) <= 1e-12
     assert np.trace(w).real == pytest.approx(1.0, abs=1e-13)
     assert hermitian_eigenvalues_2x2(w).lo >= -1e-12
@@ -205,3 +206,26 @@ def test_full_report_is_consistent_with_pointwise_measures(axis, x, a):
                 assert abs(have - float(ref_value)) <= 1e-12, name
         else:
             assert abs(value - float(expected)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("axis", [1, 2, 3])
+def test_full_report_validates_once(monkeypatch, axis):
+    # check_density coerces rho once; the matrices full_report builds from
+    # it, and the closed-form F_paper, skip every further coercion
+    ch, rho = make_one_pauli(axis, 0.3), _rho((0.5, 0.6, 0.6))
+    calls = {"as_matrix": 0, "_domain": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(linalg, "as_matrix")
+    monkeypatch.setattr(bloch, "as_matrix", linalg.as_matrix)
+    counted(closedform, "_domain")
+    full_report(ch, rho)
+    assert calls == {"as_matrix": 1, "_domain": 0}

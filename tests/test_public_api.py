@@ -21,14 +21,12 @@ PUBLIC_NAMES = [
     "PauliAxis",
     "SpectrumPair",
     "ValidationError",
-    "apply_channel",
     "bloch_to_density",
     "check_bloch",
     "check_density",
     "check_retention",
     "closed_point",
     "completeness_residual",
-    "density_to_bloch",
     "environment_entropy_oracle",
     "fidelity_paper_closed",
     "full_report",
@@ -36,8 +34,6 @@ PUBLIC_NAMES = [
     "make_one_pauli",
     "parse_bloch",
     "spectrum_entropy",
-    "state_entropy",
-    "w_matrix",
 ]
 
 

@@ -19,6 +19,7 @@ import pytest
 from helpers import reference_values
 from paulinoise import (
     BlochVector,
+    ValidationError,
     bloch_to_density,
     closedform,
     completeness_residual,
@@ -271,3 +272,33 @@ def test_completeness_alone_fails_an_axis():
     assert not AxisVerification(
         PauliAxis.SIGMA1, residuals, completeness_max=2e-13
     ).passed
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: retention_grid(2.5), "grid must be an integer, got 2.5"),
+        (lambda: retention_grid("5"), "grid must be an integer, got '5'"),
+        (lambda: run_verification(3.0, 2, 1), "grid must be an integer, got 3.0"),
+        (lambda: run_verification(3, 2.0, 1), "samples must be an integer, got 2.0"),
+        (lambda: run_verification(3, 2, 1.5), "seed must be an integer, got 1.5"),
+        (lambda: run_verification(3, 2, True), "seed must be an integer, got True"),
+        (lambda: retention_grid(1), "grid must be >= 2, got 1"),
+        (lambda: run_verification(3, 0, 1), "samples must be >= 1, got 0"),
+        (lambda: run_verification(3, 2, -1), "seed must be >= 0, got -1"),
+    ],
+    ids=["grid-float", "grid-str", "verify-grid", "samples", "seed", "seed-bool",
+         "grid-range", "samples-range", "seed-range"],
+)
+def test_integer_arguments_are_validated(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_integer_arguments_accept_numpy_integers():
+    assert retention_grid(np.int64(3)) == [0.0, 0.5, 1.0]
+    report = run_verification(np.int64(2), np.int32(1), np.uint8(1))
+    counts = (report.grid_steps, report.samples, report.seed)
+    assert counts == (2, 1, 1)
+    assert all(type(v) is int for v in counts)
