@@ -13,10 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import EIGENVALUE_FLOOR, _eigenvalues_2x2, as_matrix
-
-BLOCH_NORM_TOL = 1e-12
-TRACE_TOL = 1e-12
+from .linalg import ROUNDING_TOL, _eigenvalues_2x2, as_matrix
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,15 +37,18 @@ class BlochVector(NamedTuple):
 
 
 def check_bloch(a) -> BlochVector:
-    """Coerce to a BlochVector and enforce |a| <= 1 (plus rounding slack)."""
+    """Coerce to a BlochVector and enforce |a| <= 1 (plus rounding slack).
+    Text (parse_bloch reads that) and unordered containers are not vectors."""
     try:
+        if isinstance(a, (str, bytes, set, frozenset, dict)):
+            raise TypeError("not an ordered sequence of numbers")
         a1, a2, a3 = (float(c) for c in a)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"not a real 3-vector: {a!r}") from exc
     vec = BlochVector(a1, a2, a3)
     if not all(isfinite(c) for c in vec):
         raise ValidationError(f"Bloch vector has non-finite components: {vec}")
-    if vec.norm_sq > 1.0 + BLOCH_NORM_TOL:
+    if vec.norm_sq > 1.0 + ROUNDING_TOL:
         raise ValidationError(
             f"Bloch vector length {vec.norm:.6g} exceeds 1 by {vec.norm - 1.0:.3g}"
         )
@@ -84,9 +84,9 @@ def check_density(rho) -> np.ndarray:
     rho = as_matrix(rho, "density matrix")
     spectrum = _eigenvalues_2x2(rho)
     trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > TRACE_TOL:
+    if abs(trace - 1.0) > ROUNDING_TOL:
         raise ValidationError(f"density matrix trace {trace:.15g} != 1")
-    if spectrum.lo < EIGENVALUE_FLOOR:
+    if spectrum.lo < -ROUNDING_TOL:
         raise ValidationError(
             f"density matrix has negative eigenvalue {spectrum.lo:.3e}"
         )

@@ -33,15 +33,6 @@ class PauliAxis(IntEnum):
     SIGMA2 = 2  # bit and phase flip
     SIGMA3 = 3  # phase flip
 
-    @classmethod
-    def from_token(cls, token: str) -> "PauliAxis":
-        try:
-            return _AXIS_TOKENS[token.strip().lower()]
-        except KeyError:
-            raise ValidationError(
-                f"unknown channel {token!r}, expected sigma1, sigma2 or sigma3"
-            ) from None
-
     @property
     def token(self) -> str:
         return f"sigma{self.value}"
@@ -49,14 +40,24 @@ class PauliAxis(IntEnum):
 
 _AXIS_TOKENS = {axis.token: axis for axis in PauliAxis}
 
+# Python and numpy bools are numbers too; no count, axis or rate accepts one.
+_BOOLS = (bool, np.bool_)
+
 
 def as_axis(value) -> PauliAxis:
     """Coerce an axis given as PauliAxis, integer 1..3, or CLI token."""
     if isinstance(value, PauliAxis):
         return value
     if isinstance(value, str):
-        return PauliAxis.from_token(value)
+        try:
+            return _AXIS_TOKENS[value.strip().lower()]
+        except KeyError:
+            raise ValidationError(
+                f"unknown channel {value!r}, expected sigma1, sigma2 or sigma3"
+            ) from None
     try:
+        if isinstance(value, _BOOLS):
+            raise ValueError("a bool is not an axis")
         return PauliAxis(value)
     except ValueError:
         raise ValidationError(f"axis must be 1, 2 or 3, got {value!r}") from None
@@ -65,6 +66,8 @@ def as_axis(value) -> PauliAxis:
 def check_retention(x) -> float:
     """Validate the retention rate x in [0, 1]."""
     try:
+        if isinstance(x, _BOOLS):
+            raise TypeError("a bool is not a rate")
         x = float(x)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"x must be a real number, got {x!r}") from exc
@@ -73,21 +76,23 @@ def check_retention(x) -> float:
     return x
 
 
-def as_count(value, name: str) -> int:
-    """Coerce an integer argument; bools and non-integral numbers fail."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
+def as_count(value, name: str, minimum: int) -> int:
+    """Coerce an integer argument of at least minimum; bools and
+    non-integral numbers fail."""
+    try:
+        if isinstance(value, _BOOLS):
+            raise TypeError("a bool is not a count")
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 def retention_grid(steps) -> list[float]:
     """Evenly spaced retention rates i/(steps-1), both endpoints included."""
-    steps = as_count(steps, "grid")
-    if steps < 2:
-        raise ValidationError(f"grid must be >= 2, got {steps}")
+    steps = as_count(steps, "grid", 2)
     return [i / (steps - 1) for i in range(steps)]
 
 

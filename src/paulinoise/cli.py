@@ -7,7 +7,14 @@ import argparse
 import sys
 
 from .bloch import BlochVector, bloch_to_density, parse_bloch
-from .channels import PauliAxis, check_retention, make_one_pauli, retention_grid
+from .channels import (
+    PauliAxis,
+    as_axis,
+    as_count,
+    check_retention,
+    make_one_pauli,
+    retention_grid,
+)
 from .errors import NumericError, ValidationError
 from .measures import ChannelReport, full_report
 from .verify import (
@@ -126,14 +133,11 @@ def _flagged(flag: str, convert, raw):
 
 
 def _check_precision(precision) -> int:
-    precision = int(precision)
-    if precision < 1:
-        raise ValidationError(f"precision must be >= 1, got {precision}")
-    return precision
+    return as_count(precision, "precision", 1)
 
 
 def cmd_analyze(args) -> int:
-    axis = PauliAxis.from_token(args.channel)
+    axis = as_axis(args.channel)
     bloch = _flagged("--bloch", parse_bloch, args.bloch)
     x = _flagged("--x", check_retention, args.x)
     precision = _flagged("--precision", _check_precision, args.precision)
@@ -153,7 +157,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    axis = PauliAxis.from_token(args.channel)
+    axis = as_axis(args.channel)
     bloch = _flagged("--bloch", parse_bloch, args.bloch)
     precision = _flagged("--precision", _check_precision, args.precision)
     # retention_grid is the only check on --steps; axis and Bloch vector are
@@ -175,16 +179,8 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 2
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # Exit code 1 for bad command lines; 2 stays reserved for a failed
-    # verification.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
+    parser = argparse.ArgumentParser(
         prog="paulinoise",
         description="One-Pauli qubit noise channels: measures, sweeps and "
         "closed-form cross-validation.",
@@ -223,8 +219,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits on syntax errors and --help
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on syntax errors, 0 on --help
+        # A bad command line exits 1; 2 stays reserved for a failed verification.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ValidationError, NumericError, OSError) as exc:

@@ -19,9 +19,7 @@ import numpy as np
 from .bloch import BlochVector, check_bloch
 from .channels import PauliAxis, as_axis, check_retention
 from .errors import NumericError
-from .linalg import SpectrumPair, spectrum_entropy_batch
-
-RADICAND_FLOOR = -1e-12
+from .linalg import ROUNDING_TOL, SpectrumPair, spectrum_entropy_batch
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ def closed_point(axis, x, a) -> ClosedFormPoint:
 
 def _split_unit_spectrum_batch(radicand: np.ndarray) -> np.ndarray:
     lowest = float(radicand.min(initial=0.0))
-    if lowest < RADICAND_FLOOR:
+    if lowest < -ROUNDING_TOL:
         raise NumericError(f"negative radicand {lowest:.3e}")
     root = np.sqrt(np.maximum(radicand, 0.0))
     return np.stack(((1.0 + root) / 2.0, (1.0 - root) / 2.0), axis=-1)

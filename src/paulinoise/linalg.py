@@ -16,11 +16,10 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 
-HERMITICITY_TOL = 1e-12
-
-# Spectrum values in [EIGENVALUE_FLOOR, 0) are treated as rounded zeros;
-# anything below is a genuine positivity violation.
-EIGENVALUE_FLOOR = -1e-12
+# The rounding slack of every guard (Hermiticity, trace, Bloch norm, spectra,
+# discriminants, radicands): a value at most this far past its exact bound
+# is rounding; anything further is a genuine violation.
+ROUNDING_TOL = 1e-12
 
 
 class SpectrumPair(NamedTuple):
@@ -47,7 +46,7 @@ def hermitian_eigenvalues_2x2(m) -> SpectrumPair:
     evaluated in its cancellation-free regrouping (m00 - m11)^2 +
     4 Re(m01 m10), which keeps nearly degenerate spectra accurate to
     machine precision. It is clamped to zero when rounding pushes it
-    slightly negative; below -1e-12 it cannot come from a Hermitian
+    slightly negative; below -ROUNDING_TOL it cannot come from a Hermitian
     matrix and raises NumericError.
     """
     return _eigenvalues_2x2(as_matrix(m))
@@ -57,14 +56,14 @@ def _eigenvalues_2x2(m: np.ndarray) -> SpectrumPair:
     """hermitian_eigenvalues_2x2 without the coercion, for a state that
     check_density has coerced and the matrices full_report builds from it."""
     residual = float(np.abs(m - m.conj().T).max())
-    if residual > HERMITICITY_TOL:
+    if residual > ROUNDING_TOL:
         raise ValidationError(
-            f"matrix is not Hermitian: residual {residual:.3e} exceeds {HERMITICITY_TOL}"
+            f"matrix is not Hermitian: residual {residual:.3e} exceeds {ROUNDING_TOL}"
         )
     t = float(m[0, 0].real + m[1, 1].real)
     diag_gap = float(m[0, 0].real - m[1, 1].real)
     disc = diag_gap * diag_gap + 4.0 * float((m[0, 1] * m[1, 0]).real)
-    if disc < -1e-12:
+    if disc < -ROUNDING_TOL:
         raise NumericError(f"negative eigenvalue discriminant {disc:.3e}")
     root = sqrt(max(disc, 0.0))
     return SpectrumPair((t + root) / 2.0, (t - root) / 2.0)
@@ -75,9 +74,9 @@ def spectrum_entropy(spectrum: Iterable[float]) -> float:
     total = 0.0
     for p in spectrum:
         p = float(p)
-        if p < EIGENVALUE_FLOOR:
-            raise NumericError(f"spectrum value {p:.3e} below {EIGENVALUE_FLOOR}")
-        if p > 1.0 + 1e-12:
+        if p < -ROUNDING_TOL:
+            raise NumericError(f"spectrum value {p:.3e} below {-ROUNDING_TOL}")
+        if p > 1.0 + ROUNDING_TOL:
             raise NumericError(f"spectrum value {p} exceeds 1")
         p = min(max(p, 0.0), 1.0)
         if p > 0.0:
@@ -91,7 +90,7 @@ def hermitian_eigenvalues_batch(m) -> np.ndarray:
     Returns the spectra as shape (..., 2), descending along the last axis.
     The checks are those of the scalar kernel, applied to every matrix:
     finite entries and Hermiticity raise ValidationError, a discriminant
-    below -1e-12 raises NumericError.
+    below -ROUNDING_TOL raises NumericError.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2:] != (2, 2):
@@ -101,9 +100,9 @@ def hermitian_eigenvalues_batch(m) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix stack contains non-finite entries")
     residual = float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max(initial=0.0))
-    if residual > HERMITICITY_TOL:
+    if residual > ROUNDING_TOL:
         raise ValidationError(
-            f"matrix is not Hermitian: residual {residual:.3e} exceeds {HERMITICITY_TOL}"
+            f"matrix is not Hermitian: residual {residual:.3e} exceeds {ROUNDING_TOL}"
         )
     m00, m11 = m[..., 0, 0].real, m[..., 1, 1].real
     t = m00 + m11
@@ -114,7 +113,7 @@ def hermitian_eigenvalues_batch(m) -> np.ndarray:
     off_product = m01.real * m10.real - m01.imag * m10.imag
     disc = diag_gap * diag_gap + 4.0 * off_product
     lowest = float(disc.min(initial=0.0))
-    if lowest < -1e-12:
+    if lowest < -ROUNDING_TOL:
         raise NumericError(f"negative eigenvalue discriminant {lowest:.3e}")
     root = np.sqrt(np.maximum(disc, 0.0))
     return np.stack(((t + root) / 2.0, (t - root) / 2.0), axis=-1)
@@ -125,10 +124,10 @@ def spectrum_entropy_batch(spectra) -> np.ndarray:
     the same bounds, clamping and 0 log 0 = 0."""
     p = np.asarray(spectra, dtype=float)
     lowest = float(p.min(initial=np.inf))
-    if lowest < EIGENVALUE_FLOOR:
-        raise NumericError(f"spectrum value {lowest:.3e} below {EIGENVALUE_FLOOR}")
+    if lowest < -ROUNDING_TOL:
+        raise NumericError(f"spectrum value {lowest:.3e} below {-ROUNDING_TOL}")
     highest = float(p.max(initial=-np.inf))
-    if highest > 1.0 + 1e-12:
+    if highest > 1.0 + ROUNDING_TOL:
         raise NumericError(f"spectrum value {highest} exceeds 1")
     p = np.clip(p, 0.0, 1.0)
     positive = p > 0.0

@@ -26,7 +26,6 @@ from .channels import (
     make_one_pauli,
     retention_grid,
 )
-from .errors import ValidationError
 
 # Largest cross-route residual a passing verification allows. It also
 # separates C > 0 from C ~ 0 in the sign counts: at x = 1/2, C = 0 exactly
@@ -179,17 +178,11 @@ def reduce_routes(axis: PauliAxis, routes: dict[str, np.ndarray]) -> AxisVerific
 
 
 def check_samples(samples) -> int:
-    samples = as_count(samples, "samples")
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
-    return samples
+    return as_count(samples, "samples", 1)
 
 
 def check_seed(seed) -> int:
-    seed = as_count(seed, "seed")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    return seed
+    return as_count(seed, "seed", 0)
 
 
 def run_verification(grid_steps: int, samples: int, seed: int) -> VerificationReport:

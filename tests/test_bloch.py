@@ -108,6 +108,18 @@ def test_check_bloch_accepts_rounding_slack():
     assert check_bloch((1.0 + 1e-13, 0, 0)).a1 == 1.0 + 1e-13
 
 
+@pytest.mark.parametrize(
+    "a",
+    ["000", b"000", {0.1, 0.2, 0.3}, frozenset({0.1, 0.2, 0.3}),
+     {0.1: 0, 0.2: 0, 0.3: 0}],
+    ids=["str", "bytes", "set", "frozenset", "dict"],
+)
+def test_check_bloch_rejects_text_and_unordered_containers(a):
+    # text goes through parse_bloch; a set or dict has no component order
+    with pytest.raises(ValidationError, match="not a real 3-vector"):
+        check_bloch(a)
+
+
 def test_parse_bloch():
     assert parse_bloch("0.5,0.6,0.6") == BlochVector(0.5, 0.6, 0.6)
 

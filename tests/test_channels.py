@@ -8,7 +8,9 @@ from paulinoise import (
     PauliAxis,
     ValidationError,
     bloch_to_density,
+    closed_point,
     completeness_residual,
+    fidelity_paper_closed,
     make_one_pauli,
 )
 from paulinoise.bloch import IDENTITY, SIGMA1, _bloch_of
@@ -56,6 +58,31 @@ def test_axis_coercion():
         as_axis(5)
     with pytest.raises(ValidationError):
         as_axis("sigma4")
+
+
+BOOLS = [True, False, np.True_, np.False_]
+AXIS_AND_RATE_ENTRY_POINTS = {
+    "KrausChannel": KrausChannel,
+    "make_one_pauli": make_one_pauli,
+    "closed_point": lambda axis, x: closed_point(axis, x, (0.5, 0.6, 0.6)),
+    "fidelity_paper_closed": lambda axis, x: fidelity_paper_closed(
+        axis, x, (0.5, 0.6, 0.6)
+    ),
+}
+
+
+@pytest.mark.parametrize("flag", BOOLS, ids=repr)
+@pytest.mark.parametrize("entry", AXIS_AND_RATE_ENTRY_POINTS)
+def test_bool_is_not_an_axis(entry, flag):
+    with pytest.raises(ValidationError, match="axis must be 1, 2 or 3"):
+        AXIS_AND_RATE_ENTRY_POINTS[entry](flag, 0.5)
+
+
+@pytest.mark.parametrize("flag", BOOLS, ids=repr)
+@pytest.mark.parametrize("entry", AXIS_AND_RATE_ENTRY_POINTS)
+def test_bool_is_not_a_rate(entry, flag):
+    with pytest.raises(ValidationError, match="x must be a real number"):
+        AXIS_AND_RATE_ENTRY_POINTS[entry](1, flag)
 
 
 def test_channel_is_a_value_of_axis_and_rate():

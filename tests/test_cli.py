@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from paulinoise import ValidationError
 from paulinoise.cli import (
     CSV_HEADER,
+    _check_precision,
     format_value,
     main,
     run_verification,
@@ -270,6 +272,14 @@ def test_analyze_rejects_nonpositive_precision(capsys):
                "--x", "0.5", "--precision", "0"])
     assert rc == 1
     assert "--precision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", [2.5, True, "x"])
+def test_precision_must_be_an_integer(precision):
+    with pytest.raises(
+        ValidationError, match=r"^precision must be an integer, got "
+    ):
+        _check_precision(precision)
 
 
 def test_format_value_never_prints_negative_zero():

@@ -206,7 +206,7 @@ def test_batched_eigenvalues_reject_wrong_shape():
 def test_negative_discriminant_raises_numeric_error(monkeypatch):
     # A Hermitian matrix cannot produce one, so the Hermiticity gate is
     # widened to let [[0, 1], [-1, 0]] (discriminant -4) reach the check.
-    monkeypatch.setattr(linalg, "HERMITICITY_TOL", 10.0)
+    monkeypatch.setattr(linalg, "ROUNDING_TOL", 2.0)
     skew = np.array([[0, 1], [-1, 0]], dtype=complex)
     with pytest.raises(NumericError):
         hermitian_eigenvalues_batch(np.array([IDENTITY / 2, skew]))
