@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import ROUNDING_TOL, _eigenvalues_2x2, as_matrix
+from .linalg import ROUNDING_TOL, _eigenvalues_2x2, as_matrix, as_real
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -37,12 +37,12 @@ class BlochVector(NamedTuple):
 
 
 def check_bloch(a) -> BlochVector:
-    """Coerce to a BlochVector and enforce |a| <= 1 (plus rounding slack).
-    Text (parse_bloch reads that) and unordered containers are not vectors."""
+    """Coerce real components (as_real) to a BlochVector and enforce |a| <= 1
+    (plus rounding slack). Text and unordered containers are not vectors."""
     try:
         if isinstance(a, (str, bytes, set, frozenset, dict)):
             raise TypeError("not an ordered sequence of numbers")
-        a1, a2, a3 = (float(c) for c in a)
+        a1, a2, a3 = (as_real(c) for c in a)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"not a real 3-vector: {a!r}") from exc
     vec = BlochVector(a1, a2, a3)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .bloch import IDENTITY, SIGMAS
 from .errors import ValidationError
+from .linalg import _BOOLS, as_real
 
 COMPLETENESS_TOL = 1e-13
 
@@ -40,12 +41,9 @@ class PauliAxis(IntEnum):
 
 _AXIS_TOKENS = {axis.token: axis for axis in PauliAxis}
 
-# Python and numpy bools are numbers too; no count, axis or rate accepts one.
-_BOOLS = (bool, np.bool_)
-
 
 def as_axis(value) -> PauliAxis:
-    """Coerce an axis given as PauliAxis, integer 1..3, or CLI token."""
+    """Coerce an axis given as PauliAxis, CLI token, or integer 1..3."""
     if isinstance(value, PauliAxis):
         return value
     if isinstance(value, str):
@@ -57,19 +55,17 @@ def as_axis(value) -> PauliAxis:
             ) from None
     try:
         if isinstance(value, _BOOLS):
-            raise ValueError("a bool is not an axis")
-        return PauliAxis(value)
-    except ValueError:
+            raise TypeError("a bool is not an axis")
+        return PauliAxis(operator.index(value))
+    except (TypeError, ValueError):
         raise ValidationError(f"axis must be 1, 2 or 3, got {value!r}") from None
 
 
 def check_retention(x) -> float:
-    """Validate the retention rate x in [0, 1]."""
+    """Validate the retention rate x, a real number (as_real) in [0, 1]."""
     try:
-        if isinstance(x, _BOOLS):
-            raise TypeError("a bool is not a rate")
-        x = float(x)
-    except (TypeError, ValueError) as exc:
+        x = as_real(x)
+    except TypeError as exc:
         raise ValidationError(f"x must be a real number, got {x!r}") from exc
     if not isfinite(x) or not 0.0 <= x <= 1.0:
         raise ValidationError(f"x must be in [0, 1], got {x}")

@@ -4,17 +4,21 @@ Everything operates on plain numpy arrays with complex entries. The only
 spectral routine is the closed form for 2x2 Hermitian matrices, which is
 all the rest of the package needs. The eigenvalue and entropy kernels come
 twice: a scalar form for single operating points, and a batch form over
-stacks of shape (..., 2, 2) that applies the same checks to every entry.
+stacks of shape (..., 2, 2) that applies the same guards to every entry.
 """
 
 from __future__ import annotations
 
 from math import log2, sqrt
+from numbers import Real
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
+
+# Python and numpy bools are numbers too; no count, axis, rate or component takes one.
+_BOOLS = (bool, np.bool_)
 
 # The rounding slack of every guard (Hermiticity, trace, Bloch norm, spectra,
 # discriminants, radicands): a value at most this far past its exact bound
@@ -37,6 +41,13 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValidationError(f"{name} contains non-finite entries")
     return out
+
+
+def as_real(value) -> float:
+    """value as a float if it is a real number, else TypeError: no text or bool."""
+    if isinstance(value, _BOOLS) or not isinstance(value, Real):
+        raise TypeError(f"not a real number: {value!r}")
+    return float(value)
 
 
 def hermitian_eigenvalues_2x2(m) -> SpectrumPair:
@@ -84,21 +95,12 @@ def spectrum_entropy(spectrum: Iterable[float]) -> float:
     return total
 
 
-def hermitian_eigenvalues_batch(m) -> np.ndarray:
-    """hermitian_eigenvalues_2x2 over a stack of shape (..., 2, 2).
-
-    Returns the spectra as shape (..., 2), descending along the last axis.
-    The checks are those of the scalar kernel, applied to every matrix:
-    finite entries and Hermiticity raise ValidationError, a discriminant
-    below -ROUNDING_TOL raises NumericError.
+def hermitian_eigenvalues_batch(m: np.ndarray) -> np.ndarray:
+    """_eigenvalues_2x2 over a complex stack of shape (..., 2, 2) that the
+    package built, so it takes no input checks; returns the spectra as shape
+    (..., 2), descending. The guards apply to what it derives: Hermiticity
+    raises ValidationError, a discriminant below -ROUNDING_TOL NumericError.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-2:] != (2, 2):
-        raise ValidationError(
-            f"expected a stack of 2x2 matrices, got shape {m.shape}"
-        )
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("matrix stack contains non-finite entries")
     residual = float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max(initial=0.0))
     if residual > ROUNDING_TOL:
         raise ValidationError(

@@ -52,33 +52,24 @@ class ChannelReport:
     mutual_info: float
 
 
-# Internal cores working on pre-validated inputs. The public functions
-# validate the state once (check_density) and then call these; a channel is
-# valid from its construction.
+# The scalar Kraus contraction, one pass per operator in report_batch's
+# order (left, out, W, traces). full_report validates the state once
+# (check_density) and calls it; a channel is valid from its construction.
 
 
-def _output_state(ops, rho: np.ndarray) -> np.ndarray:
+def _kraus_contraction(ops, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The output state, the exchange matrix W and the entangled fidelity."""
     out = np.zeros((2, 2), dtype=complex)
-    for op in ops:
-        out += op @ rho @ op.conj().T
-    return out
-
-
-def _w_entries(ops, rho: np.ndarray) -> np.ndarray:
     w = np.empty((2, 2), dtype=complex)
-    for i, op_i in enumerate(ops):
-        left = op_i @ rho
+    fidelity = 0.0
+    for i, op in enumerate(ops):
+        left = op @ rho
+        out += left @ op.conj().T
         for j, op_j in enumerate(ops):
             w[i, j] = np.vdot(op_j, left)  # Tr(A_j^dagger A_i rho)
-    return w
-
-
-def _fidelity_sum(ops, rho: np.ndarray) -> float:
-    total = 0.0
-    for op in ops:
-        t = complex(np.trace(rho @ op))
-        total += t.real * t.real + t.imag * t.imag
-    return total
+        t = complex(np.trace(rho @ op))  # Tr(rho A_i)
+        fidelity += t.real * t.real + t.imag * t.imag
+    return out, w, fidelity
 
 
 def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
@@ -102,13 +93,12 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
     spectrum bounds) still run on everything derived from them.
     """
     rho = check_density(rho)
-    ops = ch.ops
     bloch_in = _bloch_of(rho)
     h_in = spectrum_entropy(_eigenvalues_2x2(rho))
-    out = _output_state(ops, rho)
+    out, w, fidelity = _kraus_contraction(ch.ops, rho)
     thetas = _eigenvalues_2x2(out)
     h_out = spectrum_entropy(thetas)
-    lambdas = _eigenvalues_2x2(_w_entries(ops, rho))
+    lambdas = _eigenvalues_2x2(w)
     noise_n = spectrum_entropy(lambdas)
     return ChannelReport(
         x=ch.x,
@@ -118,7 +108,7 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
         h_out=h_out,
         noise_n=noise_n,
         coherent_c=h_out - noise_n,
-        fidelity_numeric=_fidelity_sum(ops, rho),
+        fidelity_numeric=fidelity,
         fidelity_paper=closedform._fidelity_paper(
             ch.axis, ch.x, bloch_in[ch.axis - 1]
         ),

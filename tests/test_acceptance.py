@@ -27,7 +27,7 @@ from paulinoise.cli import (
     write_sweep_csv,
 )
 from paulinoise.linalg import hermitian_eigenvalues_2x2
-from paulinoise.measures import _output_state, full_report
+from paulinoise.measures import _kraus_contraction, full_report
 from paulinoise.verify import random_bloch
 
 GRID = 101
@@ -93,7 +93,7 @@ def test_criterion_3_completeness_and_state_validity(verification):
     for axis, bloch in REFERENCE_STATES.items():
         rho = bloch_to_density(bloch)
         for x in retention_grid(GRID):
-            out = _output_state(make_one_pauli(axis, x).ops, rho)
+            out = _kraus_contraction(make_one_pauli(axis, x).ops, rho)[0]
             worst_herm = max(worst_herm, hermiticity_residual(out))
             worst_trace = max(worst_trace, abs(np.trace(out).real - 1.0))
             lowest_eigenvalue = min(

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from paulinoise import (
     bloch_to_density,
     check_bloch,
     check_density,
+    closed_point,
     full_report,
     make_one_pauli,
     parse_bloch,
@@ -118,6 +121,24 @@ def test_check_bloch_rejects_text_and_unordered_containers(a):
     # text goes through parse_bloch; a set or dict has no component order
     with pytest.raises(ValidationError, match="not a real 3-vector"):
         check_bloch(a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [["0.1", "0.2", "0.3"], [b"0", b"0", b"1"], [True, False, False],
+     np.array([True, False, False]), [0.1, 0.2, 0.3 + 0j]],
+    ids=["str", "bytes", "bool", "numpy-bool", "complex"],
+)
+def test_check_bloch_takes_only_real_components(a):
+    with pytest.raises(ValidationError, match="not a real 3-vector"):
+        check_bloch(a)
+    with pytest.raises(ValidationError, match="not a real 3-vector"):
+        closed_point(1, 0.5, a)
+
+
+def test_check_bloch_accepts_real_components_of_any_type():
+    assert check_bloch([0, Fraction(1, 2), np.float32(0.25)]) == (0.0, 0.5, 0.25)
+    assert check_bloch(np.array([0, 0, 1])) == (0.0, 0.0, 1.0)
 
 
 def test_parse_bloch():

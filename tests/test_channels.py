@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from paulinoise import (
 from paulinoise.bloch import IDENTITY, SIGMA1, _bloch_of
 from paulinoise.channels import as_axis
 from paulinoise.linalg import hermitian_eigenvalues_2x2
-from paulinoise.measures import _output_state
+from paulinoise.measures import _kraus_contraction
 
 
 def test_noiseless_endpoint_is_identity_plus_zero():
@@ -85,6 +88,39 @@ def test_bool_is_not_a_rate(entry, flag):
         AXIS_AND_RATE_ENTRY_POINTS[entry](1, flag)
 
 
+# Axes are integers through operator.index; a float, complex or Decimal that
+# equals 1, 2 or 3, or a one-element array, is not one.
+NOT_AXES = [2.0, 2 + 0j, Decimal(2), np.float64(2.0), np.array([2])]
+# Rates are real numbers; text is parsed only by the command line.
+NOT_RATES = ["0.5", b"0.5", np.str_("0.5"), " 1e-1 ", 0.5 + 0j, np.complex128(0.5)]
+
+
+@pytest.mark.parametrize("value", NOT_AXES, ids=repr)
+@pytest.mark.parametrize("entry", AXIS_AND_RATE_ENTRY_POINTS)
+def test_non_integer_number_is_not_an_axis(entry, value):
+    with pytest.raises(ValidationError, match="axis must be 1, 2 or 3"):
+        AXIS_AND_RATE_ENTRY_POINTS[entry](value, 0.5)
+
+
+@pytest.mark.parametrize("value", NOT_RATES, ids=repr)
+@pytest.mark.parametrize("entry", AXIS_AND_RATE_ENTRY_POINTS)
+def test_text_and_complex_are_not_rates(entry, value):
+    with pytest.raises(ValidationError, match="x must be a real number"):
+        AXIS_AND_RATE_ENTRY_POINTS[entry](1, value)
+
+
+@pytest.mark.parametrize(
+    "axis, x",
+    [(np.int64(2), 0.5), (PauliAxis.SIGMA2, Fraction(1, 2)),
+     ("sigma2", np.float32(0.5)), (2, 1), (2, np.int64(0))],
+    ids=repr,
+)
+def test_integer_axes_and_real_rates_of_any_type_are_accepted(axis, x):
+    ch = KrausChannel(axis, x)
+    assert ch.axis is PauliAxis.SIGMA2
+    assert ch.x == float(x) and type(ch.x) is float
+
+
 def test_channel_is_a_value_of_axis_and_rate():
     ch = KrausChannel(1, 0.5)
     assert ch == make_one_pauli("sigma1", 0.5)
@@ -101,7 +137,7 @@ def test_completeness_of_constructed_channel(axis, x):
 
 def test_apply_kills_transverse_components_at_half():
     ops = make_one_pauli(1, 0.5).ops
-    out = _output_state(ops, bloch_to_density((0.5, 0.6, 0.6)))
+    out = _kraus_contraction(ops, bloch_to_density((0.5, 0.6, 0.6)))[0]
     b = _bloch_of(out)
     assert b.a1 == pytest.approx(0.5, abs=1e-15)
     assert b.a2 == pytest.approx(0.0, abs=1e-15)
@@ -111,13 +147,13 @@ def test_apply_kills_transverse_components_at_half():
 @given(axes(), bloch_vectors())
 def test_apply_is_identity_at_x_one(axis, a):
     rho = bloch_to_density(a)
-    assert np.allclose(_output_state(make_one_pauli(axis, 1.0).ops, rho), rho,
+    assert np.allclose(_kraus_contraction(make_one_pauli(axis, 1.0).ops, rho)[0], rho,
                        atol=1e-15)
 
 
 def test_apply_sigma3_flips_transverse_sign():
     ops = make_one_pauli(3, 0.2).ops
-    out = _output_state(ops, bloch_to_density((0.6, 0.6, 0.5)))
+    out = _kraus_contraction(ops, bloch_to_density((0.6, 0.6, 0.5)))[0]
     b = _bloch_of(out)
     assert b.a1 == pytest.approx(-0.36, abs=1e-15)
     assert b.a2 == pytest.approx(-0.36, abs=1e-15)
@@ -127,7 +163,7 @@ def test_apply_sigma3_flips_transverse_sign():
 @settings(max_examples=60)
 @given(axes(), retentions(), bloch_vectors())
 def test_axis_component_preserved_transverse_scaled(axis, x, a):
-    out = _output_state(make_one_pauli(axis, x).ops, bloch_to_density(a))
+    out = _kraus_contraction(make_one_pauli(axis, x).ops, bloch_to_density(a))[0]
     b = _bloch_of(out)
     scale = 2 * x - 1
     for k in range(3):
@@ -140,10 +176,10 @@ def test_axis_component_preserved_transverse_scaled(axis, x, a):
 def test_output_spectra_agree_at_x_and_one_minus_x(axis, x, a):
     rho = bloch_to_density(a)
     direct = hermitian_eigenvalues_2x2(
-        _output_state(make_one_pauli(axis, x).ops, rho)
+        _kraus_contraction(make_one_pauli(axis, x).ops, rho)[0]
     )
     mirrored = hermitian_eigenvalues_2x2(
-        _output_state(make_one_pauli(axis, 1 - x).ops, rho)
+        _kraus_contraction(make_one_pauli(axis, 1 - x).ops, rho)[0]
     )
     assert direct.hi == pytest.approx(mirrored.hi, abs=1e-12)
     assert direct.lo == pytest.approx(mirrored.lo, abs=1e-12)
@@ -152,13 +188,13 @@ def test_output_spectra_agree_at_x_and_one_minus_x(axis, x, a):
 @settings(max_examples=60)
 @given(axes(), retentions(), bloch_vectors())
 def test_output_positivity(axis, x, a):
-    out = _output_state(make_one_pauli(axis, x).ops, bloch_to_density(a))
+    out = _kraus_contraction(make_one_pauli(axis, x).ops, bloch_to_density(a))[0]
     assert hermitian_eigenvalues_2x2(out).lo >= -1e-12
 
 
 @given(axes(), bloch_vectors())
 def test_channel_at_half_is_a_projection(axis, a):
     ch = make_one_pauli(axis, 0.5)
-    once = _output_state(ch.ops, bloch_to_density(a))
-    twice = _output_state(ch.ops, once)
+    once = _kraus_contraction(ch.ops, bloch_to_density(a))[0]
+    twice = _kraus_contraction(ch.ops, once)[0]
     assert np.allclose(twice, once, atol=1e-13)

@@ -15,7 +15,7 @@ import pytest
 from paulinoise import closedform, measures
 
 KRAUS_NAMES = {"kraus", "ops", "KrausChannel", "make_one_pauli", "measures"}
-EXCHANGE_NAMES = {"_w_entries", "w_matrix", "report_batch"}
+EXCHANGE_NAMES = {"_w_entries", "_kraus_contraction", "w_matrix", "report_batch"}
 ORACLE_ROOTS = ("environment_entropy_oracle", "environment_entropy_oracle_batch")
 
 
@@ -87,8 +87,8 @@ def _plant(tree: ast.Module, function: str | None, statement: str) -> ast.Module
         (closedform, "closed_batch", "from .channels import make_one_pauli",
          KRAUS_NAMES, None, {"make_one_pauli"}),
         # reached from the oracle only through environment_entropy_oracle_batch
-        (measures, "_eigensystem_batch", "_w_entries(kraus, rhos)",
-         EXCHANGE_NAMES, ORACLE_ROOTS, {"_w_entries"}),
+        (measures, "_eigensystem_batch", "_kraus_contraction(kraus, rhos)",
+         EXCHANGE_NAMES, ORACLE_ROOTS, {"_kraus_contraction"}),
     ],
     ids=["closed-route", "oracle"],
 )

@@ -6,11 +6,12 @@ match full_report point by point, the closed-form and oracle arrays the
 mpmath reference (the scalar closed forms and oracle are the same kernels
 on a batch of one, so they cannot serve as a reference). The report must be
 exactly the reduction of the route arrays, and the gate must fail once one
-route drifts by 2e-10. At the domain edges every route must match the
-reference within 1e-13.
+route drifts by 2e-10. At the domain edges every route, and full_report
+point by point, must match the reference within 1e-13.
 """
 
 import itertools
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -146,11 +147,17 @@ def _edge_states():
     return states + PURE_STATES
 
 
+@cache
+def _edge_reference(axis):
+    """The reference over EDGE_X x _edge_states(), one row per x."""
+    return [[reference_values(axis, x, a) for a in _edge_states()] for x in EDGE_X]
+
+
 @pytest.mark.parametrize("axis", list(PauliAxis), ids=lambda axis: axis.token)
 def test_routes_match_reference_at_domain_edges(axis):
     states = _edge_states()
     routes = axis_routes(axis, EDGE_X, states)
-    ref = [[reference_values(axis, x, a) for a in states] for x in EDGE_X]
+    ref = _edge_reference(axis)
     for route, quantity in EDGE_ROUTES.items():
         have = routes[route]
         want = np.array([[point[quantity] for point in row] for row in ref])
@@ -161,6 +168,27 @@ def test_routes_match_reference_at_domain_edges(axis):
         assert error[g, s] <= ROUTE_TOL, (
             route, EDGE_X[g], states[s], have[g, s], want[g, s],
         )
+
+
+# ChannelReport fields, named as the reference quantities; of a spectrum the
+# lo entry is compared, of bloch_out every component
+EDGE_REPORT_FIELDS = ("lambdas", "thetas", "noise_n", "coherent_c",
+                      "fidelity_numeric", "fidelity_paper", "bloch_out")
+
+
+@pytest.mark.parametrize("axis", list(PauliAxis), ids=lambda axis: axis.token)
+def test_full_report_matches_reference_at_domain_edges(axis):
+    # the scalar Kraus route, which prints every number of analyze and sweep
+    for x, row in zip(EDGE_X, _edge_reference(axis)):
+        for a, want in zip(_edge_states(), row):
+            report = full_report(make_one_pauli(axis, x), bloch_to_density(a))
+            for field in EDGE_REPORT_FIELDS:
+                have, ref = np.array(getattr(report, field)), np.array(want[field])
+                if field in ("lambdas", "thetas"):
+                    have, ref = have[1], ref[1]
+                assert np.max(np.abs(have - ref)) <= ROUTE_TOL, (
+                    field, x, a, have, ref,
+                )
 
 
 def _loop_reduction(axis, grid, states):
