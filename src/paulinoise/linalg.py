@@ -9,7 +9,7 @@ stacks of shape (..., 2, 2) that applies the same guards to every entry.
 
 from __future__ import annotations
 
-from math import log2, sqrt
+from math import inf, log2, sqrt
 from numbers import Real
 from typing import Iterable, NamedTuple
 
@@ -47,7 +47,10 @@ def as_real(value) -> float:
     """value as a float if it is a real number, else TypeError: no text or bool."""
     if isinstance(value, _BOOLS) or not isinstance(value, Real):
         raise TypeError(f"not a real number: {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # beyond the float range: +-inf, which range checks reject
+        return inf if value > 0 else -inf
 
 
 def hermitian_eigenvalues_2x2(m) -> SpectrumPair:

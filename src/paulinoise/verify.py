@@ -12,7 +12,7 @@ RESIDUAL_ROUTES.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ RESIDUAL_ROUTES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class AxisVerification:
     """Maximum cross-path residuals for one channel axis, plus the
     coherent-information sign counts: C > RESIDUAL_LIMIT counts as
@@ -65,16 +65,16 @@ class AxisVerification:
 
     axis: PauliAxis
     residuals: dict[str, float]  # keyed as RESIDUAL_ROUTES
-    completeness_max: float = 0.0
-    gap_max: float = 0.0
-    gap_predicted_at_max: float = 0.0
-    c_positive: int = 0
-    c_zero: int = 0
-    c_negative: int = 0
-    points: int = 0
-    c_positive_reference: int = 0
-    reference_points: int = 0
-    endpoints_c_positive: bool = False  # reference input at x = 0 and x = 1
+    completeness_max: float
+    gap_max: float
+    gap_predicted_at_max: float
+    c_positive: int
+    c_zero: int
+    c_negative: int
+    points: int
+    c_positive_reference: int
+    reference_points: int
+    endpoints_c_positive: bool  # reference input at x = 0 and x = 1
 
     @property
     def passed(self) -> bool:
@@ -82,28 +82,6 @@ class AxisVerification:
             max(self.residuals.values()) <= RESIDUAL_LIMIT
             and self.completeness_max <= COMPLETENESS_TOL
         )
-
-
-@dataclass
-class VerificationReport:
-    grid_steps: int
-    samples: int
-    seed: int
-    axes: list[AxisVerification] = field(default_factory=list)
-
-    @property
-    def max_residual(self) -> float:
-        return max(max(av.residuals.values()) for av in self.axes)
-
-    @property
-    def passed(self) -> bool:
-        return all(av.passed for av in self.axes)
-
-    def axis(self, axis: PauliAxis) -> AxisVerification:
-        for av in self.axes:
-            if av.axis is axis:
-                return av
-        raise KeyError(axis)
 
 
 def random_bloch(rng: np.random.Generator) -> BlochVector:
@@ -152,29 +130,32 @@ def axis_routes(
 def reduce_routes(axis: PauliAxis, routes: dict[str, np.ndarray]) -> AxisVerification:
     """Residual maxima and C sign counts of one axis; the last state is the
     axis's reference input."""
-    av = AxisVerification(axis=axis, residuals={
-        name: float(np.max(np.abs(routes[route_a] - routes[route_b])))
-        for name, (route_a, route_b) in RESIDUAL_ROUTES.items()
-    })
-    av.completeness_max = float(routes["completeness"].max())
-
     gap = routes["fidelity_gap"]
     at = np.unravel_index(np.argmax(gap), gap.shape)
+    gap_max, gap_predicted = 0.0, 0.0
     if gap[at] > 0.0:
-        av.gap_max = float(gap[at])
-        av.gap_predicted_at_max = float(routes["identity.fidelity_gap"][at])
-
+        gap_max = float(gap[at])
+        gap_predicted = float(routes["identity.fidelity_gap"][at])
     c = routes["kraus.coherent_c"]
     positive = c > RESIDUAL_LIMIT
-    av.points = c.size
-    av.c_positive = int(positive.sum())
-    av.c_zero = int((np.abs(c) <= RESIDUAL_LIMIT).sum())
-    av.c_negative = int((c < -RESIDUAL_LIMIT).sum())
     reference = positive[:, -1]
-    av.reference_points = reference.size
-    av.c_positive_reference = int(reference.sum())
-    av.endpoints_c_positive = bool(reference[0] and reference[-1])
-    return av
+    return AxisVerification(
+        axis=axis,
+        residuals={
+            name: float(np.max(np.abs(routes[route_a] - routes[route_b])))
+            for name, (route_a, route_b) in RESIDUAL_ROUTES.items()
+        },
+        completeness_max=float(routes["completeness"].max()),
+        gap_max=gap_max,
+        gap_predicted_at_max=gap_predicted,
+        c_positive=int(positive.sum()),
+        c_zero=int((np.abs(c) <= RESIDUAL_LIMIT).sum()),
+        c_negative=int((c < -RESIDUAL_LIMIT).sum()),
+        points=c.size,
+        c_positive_reference=int(reference.sum()),
+        reference_points=reference.size,
+        endpoints_c_positive=bool(reference[0] and reference[-1]),
+    )
 
 
 def check_samples(samples) -> int:
@@ -185,19 +166,22 @@ def check_seed(seed) -> int:
     return as_count(seed, "seed", 0)
 
 
-def run_verification(grid_steps: int, samples: int, seed: int) -> VerificationReport:
-    """Cross-validate the closed forms against the generic Kraus path.
+def run_verification(
+    grid_steps: int, samples: int, seed: int
+) -> tuple[AxisVerification, ...]:
+    """Cross-validate the closed forms against the generic Kraus path; one
+    record per axis, in PauliAxis order.
 
     For each axis, every grid retention rate is evaluated on `samples`
     seeded random Bloch vectors plus the axis's reference input. The
-    arrays of one axis are reduced before the next axis is evaluated.
+    arrays of one axis are reduced before the next axis's states are drawn.
     """
     grid = retention_grid(grid_steps)
     samples, seed = check_samples(samples), check_seed(seed)
     rng = np.random.default_rng(seed)
-    report = VerificationReport(grid_steps=len(grid), samples=samples, seed=seed)
+    axes = []
     for axis in PauliAxis:
         states = [random_bloch(rng) for _ in range(samples)]
         states.append(REFERENCE_STATES[axis])
-        report.axes.append(reduce_routes(axis, axis_routes(axis, grid, states)))
-    return report
+        axes.append(reduce_routes(axis, axis_routes(axis, grid, states)))
+    return tuple(axes)

@@ -63,7 +63,7 @@ def _record(number: int, ok: bool, detail: str) -> bool:
 def test_criterion_1_cross_path_equivalence(verification, cli_verify):
     names = ("bloch_out", "lambda", "theta", "noise", "coherent")
     worst = max(
-        av.residuals[name] for av in verification.axes for name in names
+        av.residuals[name] for av in verification for name in names
     )
     rc, _ = cli_verify
     ok = worst <= 1e-10 and rc == 0
@@ -76,7 +76,7 @@ def test_criterion_1_cross_path_equivalence(verification, cli_verify):
 
 
 def test_criterion_2_dilation_oracle(verification):
-    worst = max(av.residuals["oracle_vs_w"] for av in verification.axes)
+    worst = max(av.residuals["oracle_vs_w"] for av in verification)
     ok = worst <= 1e-10
     assert _record(
         2, ok,
@@ -86,7 +86,7 @@ def test_criterion_2_dilation_oracle(verification):
 
 
 def test_criterion_3_completeness_and_state_validity(verification):
-    worst_completeness = max(av.completeness_max for av in verification.axes)
+    worst_completeness = max(av.completeness_max for av in verification)
     worst_herm = 0.0
     worst_trace = 0.0
     lowest_eigenvalue = 1.0
@@ -186,12 +186,12 @@ def test_criterion_5_symmetries():
 
 
 def test_criterion_6_sigma2_fidelity_discrepancy(verification, cli_verify, tmp_path):
-    sigma2 = verification.axis(PauliAxis.SIGMA2)
+    sigma2 = verification[PauliAxis.SIGMA2 - 1]
     identity_residual = sigma2.residuals["fidelity_closed"]
 
     path = tmp_path / "sigma2.csv"
     reports = sweep_reports(
-        PauliAxis.SIGMA2, REFERENCE_STATES[PauliAxis.SIGMA2], 11
+        PauliAxis.SIGMA2, REFERENCE_STATES[PauliAxis.SIGMA2], retention_grid(11)
     )
     write_sweep_csv(reports, str(path), 12)
     lines = path.read_text().splitlines()
@@ -231,11 +231,11 @@ def test_criterion_6_sigma2_fidelity_discrepancy(verification, cli_verify, tmp_p
 def test_criterion_7_coherent_information_sign_counts(verification):
     counts = {
         av.axis.token: (av.c_positive_reference, av.reference_points)
-        for av in verification.axes
+        for av in verification
     }
     ok = all(
         av.c_positive_reference > 0 and av.endpoints_c_positive
-        for av in verification.axes
+        for av in verification
     )
     assert _record(
         7, ok,

@@ -136,6 +136,18 @@ def test_check_bloch_takes_only_real_components(a):
         closed_point(1, 0.5, a)
 
 
+@pytest.mark.parametrize(
+    "a",
+    [[10**400, 0, 0], [0, -(10**400), 0], [0, 0, Fraction(-(10**400), 3)]],
+    ids=["int", "-int", "-Fraction"],
+)
+def test_check_bloch_rejects_components_beyond_float_range(a):
+    with pytest.raises(ValidationError, match="non-finite components"):
+        check_bloch(a)
+    with pytest.raises(ValidationError, match="non-finite components"):
+        closed_point(1, 0.5, a)
+
+
 def test_check_bloch_accepts_real_components_of_any_type():
     assert check_bloch([0, Fraction(1, 2), np.float32(0.25)]) == (0.0, 0.5, 0.25)
     assert check_bloch(np.array([0, 0, 1])) == (0.0, 0.0, 1.0)

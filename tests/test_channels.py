@@ -109,6 +109,21 @@ def test_text_and_complex_are_not_rates(entry, value):
         AXIS_AND_RATE_ENTRY_POINTS[entry](1, value)
 
 
+# Reals too large for a float are rates out of range, not an OverflowError.
+HUGE_RATES = [10**400, -(10**400), Fraction(10**400, 3), Fraction(-(10**400), 3)]
+
+
+@pytest.mark.parametrize(
+    "value", HUGE_RATES, ids=["int", "-int", "Fraction", "-Fraction"]
+)
+@pytest.mark.parametrize("entry", AXIS_AND_RATE_ENTRY_POINTS)
+def test_rate_beyond_float_range_is_out_of_range(entry, value):
+    sign = "-" if value < 0 else ""
+    with pytest.raises(ValidationError) as info:
+        AXIS_AND_RATE_ENTRY_POINTS[entry](1, value)
+    assert str(info.value) == f"x must be in [0, 1], got {sign}inf"
+
+
 @pytest.mark.parametrize(
     "axis, x",
     [(np.int64(2), 0.5), (PauliAxis.SIGMA2, Fraction(1, 2)),

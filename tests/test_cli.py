@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from paulinoise import ValidationError
+from paulinoise import ValidationError, cli
 from paulinoise.cli import (
     CSV_HEADER,
     _check_precision,
@@ -11,7 +11,7 @@ from paulinoise.cli import (
     run_verification,
     sweep_reports,
 )
-from paulinoise.channels import PauliAxis
+from paulinoise.channels import PauliAxis, retention_grid
 from paulinoise.bloch import BlochVector
 
 
@@ -150,7 +150,7 @@ def test_sweep_rejects_single_step(capsys):
     rc = main(["sweep", "--channel", "sigma1", "--bloch", "0,0,0",
                "--steps", "1", "--out", "unused.csv"])
     assert rc == 1
-    assert "--steps" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --steps: grid must be >= 2, got 1\n"
 
 
 def test_sweep_rejects_nonpositive_precision(capsys):
@@ -192,7 +192,9 @@ def test_sweep_round_trip(tmp_path):
           "--steps", "17", "--out", str(out)])
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
-    sweep = sweep_reports(PauliAxis.SIGMA2, BlochVector(0.6, 0.5, 0.6), 17)
+    sweep = sweep_reports(
+        PauliAxis.SIGMA2, BlochVector(0.6, 0.5, 0.6), retention_grid(17)
+    )
     reports = {format_value(r.x, 12): r for r in sweep}
     for line in lines[1:]:
         cells = line.split(",")
@@ -204,6 +206,17 @@ def test_sweep_round_trip(tmp_path):
         )
         for cell, value in zip(cells, recomputed):
             assert abs(float(cell) - value) <= 1.0000001 * _printed_unit(cell)
+
+
+def test_sweep_error_is_not_relabelled_as_steps(capsys, monkeypatch, tmp_path):
+    def fail(ch, rho):
+        raise ValidationError("boom")
+
+    monkeypatch.setattr(cli, "full_report", fail)
+    rc = main(["sweep", "--channel", "sigma1", "--bloch", "0,0,0", "--steps", "5",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_verify_small_run_passes(capsys):
@@ -241,21 +254,20 @@ def test_verify_names_the_bad_flag(capsys, flag, value, message):
 def test_verify_two_point_grid_counts_endpoints(capsys):
     rc = main(["verify", "--grid", "2", "--samples", "1", "--seed", "7"])
     assert rc == 0
-    report = run_verification(2, 1, 7)
-    for av in report.axes:
+    for av in run_verification(2, 1, 7):
         assert av.c_positive >= 2
         assert av.endpoints_c_positive
 
 
 def test_run_verification_structure():
-    report = run_verification(5, 2, 11)
-    assert report.passed
-    assert len(report.axes) == 3
-    for av in report.axes:
+    axes = run_verification(5, 2, 11)
+    assert [av.axis for av in axes] == list(PauliAxis)
+    assert all(av.passed for av in axes)
+    for av in axes:
         assert av.points == 5 * 3  # grid x (samples + reference)
         assert av.reference_points == 5
         assert av.completeness_max <= 1e-13
-    sigma2 = report.axis(PauliAxis.SIGMA2)
+    sigma2 = axes[PauliAxis.SIGMA2 - 1]
     assert sigma2.gap_max > 0
     assert sigma2.gap_predicted_at_max == pytest.approx(sigma2.gap_max, abs=1e-12)
 

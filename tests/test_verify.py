@@ -10,6 +10,7 @@ route drifts by 2e-10. At the domain edges every route, and full_report
 point by point, must match the reference within 1e-13.
 """
 
+import dataclasses
 import itertools
 from functools import cache
 from types import SimpleNamespace
@@ -36,7 +37,6 @@ from paulinoise.verify import (
     REFERENCE_STATES,
     RESIDUAL_LIMIT,
     RESIDUAL_ROUTES,
-    AxisVerification,
     axis_routes,
     random_bloch,
     run_verification,
@@ -224,9 +224,9 @@ def _loop_reduction(axis, grid, states):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_report_equals_per_point_reduction(seed):
     grid = retention_grid(GRID)
-    report = run_verification(GRID, SAMPLES, seed)
-    for axis, states in _axis_states(seed):
-        av = report.axis(axis)
+    axes = run_verification(GRID, SAMPLES, seed)
+    assert [av.axis for av in axes] == list(PauliAxis)
+    for av, (axis, states) in zip(axes, _axis_states(seed)):
         maxima, counts, (gap_max, gap_predicted) = _loop_reduction(axis, grid, states)
         assert av.residuals == maxima
         for name, value in counts.items():
@@ -239,7 +239,7 @@ def test_report_equals_per_point_reduction(seed):
         )
         assert av.endpoints_c_positive
         assert av.completeness_max <= 1e-13
-    assert report.passed
+        assert av.passed
 
 
 def test_verify_prints_sign_count_line(capsys):
@@ -295,11 +295,15 @@ def test_incomplete_kraus_stack_fails_the_gate(monkeypatch, capsys):
 
 
 def test_completeness_alone_fails_an_axis():
-    residuals = dict.fromkeys(RESIDUAL_ROUTES, 0.0)
-    assert AxisVerification(PauliAxis.SIGMA1, residuals).passed
-    assert not AxisVerification(
-        PauliAxis.SIGMA1, residuals, completeness_max=2e-13
-    ).passed
+    av = run_verification(3, 1, 1)[0]
+    assert av.passed
+    assert not dataclasses.replace(av, completeness_max=2e-13).passed
+
+
+def test_axis_record_is_frozen():
+    av = run_verification(3, 1, 1)[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        av.completeness_max = 1.0
 
 
 @pytest.mark.parametrize(
@@ -326,7 +330,5 @@ def test_integer_arguments_are_validated(call, message):
 
 def test_integer_arguments_accept_numpy_integers():
     assert retention_grid(np.int64(3)) == [0.0, 0.5, 1.0]
-    report = run_verification(np.int64(2), np.int32(1), np.uint8(1))
-    counts = (report.grid_steps, report.samples, report.seed)
-    assert counts == (2, 1, 1)
-    assert all(type(v) is int for v in counts)
+    axes = run_verification(np.int64(2), np.int32(1), np.uint8(1))
+    assert [(av.points, av.reference_points) for av in axes] == [(4, 2)] * 3
