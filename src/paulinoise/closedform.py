@@ -5,7 +5,9 @@ so that the generic Kraus path can cross-validate them and any typo in the
 source formulas surfaces as a residual instead of being silently corrected.
 closed_batch evaluates them over a grid of retention rates and a set of
 Bloch vectors; closed_point is that computation on a batch of one, and
-fidelity_paper_closed its scalar form.
+fidelity_paper_closed its scalar form. The lambda and theta spectra are
+linalg.split_spectrum of their radicands, the split and floor the
+eigenvalue kernels use.
 The known case is the axis-2 fidelity, whose printed sign disagrees with
 the trace-form definition; see fidelity_paper_closed.
 """
@@ -18,14 +20,14 @@ import numpy as np
 
 from .bloch import BlochVector, check_bloch
 from .channels import PauliAxis, as_axis, check_retention
-from .errors import NumericError
-from .linalg import ROUNDING_TOL, SpectrumPair, spectrum_entropy_batch
+from .linalg import SpectrumPair, spectrum_entropy_batch, split_spectrum
 
 
 @dataclass(frozen=True)
 class ClosedFormPoint:
     """All closed-form quantities at one operating point (axis, x, a), as
-    printed, with k the channel axis and t^2 = |a|^2 - a_k^2:
+    printed, with k the channel axis and t^2 = |a|^2 - a_k^2; the caller
+    holds the point, so the record does not repeat it:
 
     b keeps a_k and scales the transverse components by (2x - 1);
     lambdas = [1 +- sqrt(1 - 4x(x-1)(a_k^2 - 1))]/2, the exchange matrix's;
@@ -34,9 +36,6 @@ class ClosedFormPoint:
     thetas minus noise_n; fidelity_paper is fidelity_paper_closed.
     """
 
-    axis: PauliAxis
-    x: float
-    a: BlochVector
     b: BlochVector
     lambdas: SpectrumPair
     thetas: SpectrumPair
@@ -89,9 +88,6 @@ def closed_point(axis, x, a) -> ClosedFormPoint:
         for name, array in closed_batch(axis, np.array([x]), np.array([a])).items()
     }
     return ClosedFormPoint(
-        axis=axis,
-        x=x,
-        a=a,
         b=BlochVector(*values["bloch_out"]),
         lambdas=SpectrumPair(*values["lambdas"]),
         thetas=SpectrumPair(*values["thetas"]),
@@ -99,14 +95,6 @@ def closed_point(axis, x, a) -> ClosedFormPoint:
         coherent_c=values["coherent_c"],
         fidelity_paper=values["fidelity_paper"],
     )
-
-
-def _split_unit_spectrum_batch(radicand: np.ndarray) -> np.ndarray:
-    lowest = float(radicand.min(initial=0.0))
-    if lowest < -ROUNDING_TOL:
-        raise NumericError(f"negative radicand {lowest:.3e}")
-    root = np.sqrt(np.maximum(radicand, 0.0))
-    return np.stack(((1.0 + root) / 2.0, (1.0 - root) / 2.0), axis=-1)
 
 
 def closed_batch(axis: PauliAxis, x, a) -> dict[str, np.ndarray]:
@@ -127,8 +115,8 @@ def closed_batch(axis: PauliAxis, x, a) -> dict[str, np.ndarray]:
     x = np.asarray(x, dtype=float)[:, None]
     b = (2.0 * x - 1.0)[..., None] * a
     b[..., k] = ak
-    lambdas = _split_unit_spectrum_batch(_lambda_radicand(x, ak))
-    thetas = _split_unit_spectrum_batch(_theta_radicand(x, ak, transverse_sq))
+    lambdas = split_spectrum(1.0, _lambda_radicand(x, ak), "radicand")
+    thetas = split_spectrum(1.0, _theta_radicand(x, ak, transverse_sq), "radicand")
     noise = spectrum_entropy_batch(lambdas)
     return {
         "bloch_out": b,

@@ -3,8 +3,9 @@
 Everything operates on plain numpy arrays with complex entries. The only
 spectral routine is the closed form for 2x2 Hermitian matrices, which is
 all the rest of the package needs. The eigenvalue and entropy kernels come
-twice: a scalar form for single operating points, and a batch form over
-stacks of shape (..., 2, 2) that applies the same guards to every entry.
+twice: a scalar form for single operating points (math.sqrt, math.log2,
+Python floats), and a batch form over stacks of shape (..., 2, 2). Each
+guard and the split (t +- sqrt(r))/2 exist once, and both forms call them.
 """
 
 from __future__ import annotations
@@ -54,33 +55,69 @@ def as_real(value) -> float:
 
 
 def hermitian_eigenvalues_2x2(m) -> SpectrumPair:
-    """Eigenvalues of a 2x2 Hermitian matrix via (t +- sqrt(t^2 - 4d))/2.
-
-    t is the trace and d the determinant. The discriminant t^2 - 4d is
-    evaluated in its cancellation-free regrouping (m00 - m11)^2 +
-    4 Re(m01 m10), which keeps nearly degenerate spectra accurate to
-    machine precision. It is clamped to zero when rounding pushes it
-    slightly negative; below -ROUNDING_TOL it cannot come from a Hermitian
-    matrix and raises NumericError.
-    """
+    """Eigenvalues of a 2x2 Hermitian matrix via (t +- sqrt(t^2 - 4d))/2,
+    with t the trace and d the determinant. The discriminant t^2 - 4d is
+    evaluated in its cancellation-free regrouping (_discriminant), which
+    keeps nearly degenerate spectra accurate to machine precision, and
+    floored by split_spectrum: below -ROUNDING_TOL it cannot come from a
+    Hermitian matrix and raises NumericError."""
     return _eigenvalues_2x2(as_matrix(m))
+
+
+def _check_hermitian(m: np.ndarray) -> None:
+    """The Hermiticity guard of a 2x2 matrix or a stack of shape (..., 2, 2)."""
+    residual = float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max(initial=0.0))
+    if residual > ROUNDING_TOL:
+        raise ValidationError(
+            f"matrix is not Hermitian: residual {residual:.3e} exceeds {ROUNDING_TOL}"
+        )
+
+
+def _discriminant(m00, m11, m01, m10):
+    """(m00 - m11)^2 + 4 Re(m01 m10), floats or arrays; Re(m01 m10) is spelled
+    out, as numpy's complex product may fuse the multiply-add."""
+    gap = m00 - m11
+    return gap * gap + 4.0 * (m01.real * m10.real - m01.imag * m10.imag)
+
+
+def split_spectrum(t, r, name: str):
+    """(t +- sqrt(r))/2, descending, with r floored at 0; below -ROUNDING_TOL
+    it raises NumericError("negative <name> ..."). A Python float r gives a
+    SpectrumPair via math.sqrt, an array one with a trailing (hi, lo) axis."""
+    scalar = type(r) is float
+    lowest = r if scalar else float(r.min(initial=0.0))
+    if lowest < -ROUNDING_TOL:
+        raise NumericError(f"negative {name} {lowest:.3e}")
+    root = sqrt(max(r, 0.0)) if scalar else np.sqrt(np.maximum(r, 0.0))
+    hi, lo = (t + root) / 2.0, (t - root) / 2.0
+    return SpectrumPair(hi, lo) if scalar else np.stack((hi, lo), axis=-1)
 
 
 def _eigenvalues_2x2(m: np.ndarray) -> SpectrumPair:
     """hermitian_eigenvalues_2x2 without the coercion, for a state that
     check_density has coerced and the matrices full_report builds from it."""
-    residual = float(np.abs(m - m.conj().T).max())
-    if residual > ROUNDING_TOL:
-        raise ValidationError(
-            f"matrix is not Hermitian: residual {residual:.3e} exceeds {ROUNDING_TOL}"
-        )
-    t = float(m[0, 0].real + m[1, 1].real)
-    diag_gap = float(m[0, 0].real - m[1, 1].real)
-    disc = diag_gap * diag_gap + 4.0 * float((m[0, 1] * m[1, 0]).real)
-    if disc < -ROUNDING_TOL:
-        raise NumericError(f"negative eigenvalue discriminant {disc:.3e}")
-    root = sqrt(max(disc, 0.0))
-    return SpectrumPair((t + root) / 2.0, (t - root) / 2.0)
+    _check_hermitian(m)
+    (m00, m01), (m10, m11) = m.tolist()
+    disc = _discriminant(m00.real, m11.real, m01, m10)
+    return split_spectrum(m00.real + m11.real, disc, "eigenvalue discriminant")
+
+
+def hermitian_eigenvalues_batch(m: np.ndarray) -> np.ndarray:
+    """_eigenvalues_2x2 over a complex stack of shape (..., 2, 2) that the
+    package built, so it takes no input checks; returns the spectra as shape
+    (..., 2), descending. Its Hermiticity and discriminant guards still raise."""
+    _check_hermitian(m)
+    m00, m11 = m[..., 0, 0].real, m[..., 1, 1].real
+    disc = _discriminant(m00, m11, m[..., 0, 1], m[..., 1, 0])
+    return split_spectrum(m00 + m11, disc, "eigenvalue discriminant")
+
+
+def _check_unit_interval(lowest: float, highest: float) -> None:
+    """The spectrum floor and ceiling, with ROUNDING_TOL slack outside [0, 1]."""
+    if lowest < -ROUNDING_TOL:
+        raise NumericError(f"spectrum value {lowest:.3e} below {-ROUNDING_TOL}")
+    if highest > 1.0 + ROUNDING_TOL:
+        raise NumericError(f"spectrum value {highest} exceeds 1")
 
 
 def spectrum_entropy(spectrum: Iterable[float]) -> float:
@@ -88,52 +125,18 @@ def spectrum_entropy(spectrum: Iterable[float]) -> float:
     total = 0.0
     for p in spectrum:
         p = float(p)
-        if p < -ROUNDING_TOL:
-            raise NumericError(f"spectrum value {p:.3e} below {-ROUNDING_TOL}")
-        if p > 1.0 + ROUNDING_TOL:
-            raise NumericError(f"spectrum value {p} exceeds 1")
+        _check_unit_interval(p, p)
         p = min(max(p, 0.0), 1.0)
         if p > 0.0:
             total -= p * log2(p)
     return total
 
 
-def hermitian_eigenvalues_batch(m: np.ndarray) -> np.ndarray:
-    """_eigenvalues_2x2 over a complex stack of shape (..., 2, 2) that the
-    package built, so it takes no input checks; returns the spectra as shape
-    (..., 2), descending. The guards apply to what it derives: Hermiticity
-    raises ValidationError, a discriminant below -ROUNDING_TOL NumericError.
-    """
-    residual = float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max(initial=0.0))
-    if residual > ROUNDING_TOL:
-        raise ValidationError(
-            f"matrix is not Hermitian: residual {residual:.3e} exceeds {ROUNDING_TOL}"
-        )
-    m00, m11 = m[..., 0, 0].real, m[..., 1, 1].real
-    t = m00 + m11
-    diag_gap = m00 - m11
-    m01, m10 = m[..., 0, 1], m[..., 1, 0]
-    # Re(m01 m10) spelled out: numpy's complex product may fuse the
-    # multiply-add and round differently from the scalar kernel.
-    off_product = m01.real * m10.real - m01.imag * m10.imag
-    disc = diag_gap * diag_gap + 4.0 * off_product
-    lowest = float(disc.min(initial=0.0))
-    if lowest < -ROUNDING_TOL:
-        raise NumericError(f"negative eigenvalue discriminant {lowest:.3e}")
-    root = np.sqrt(np.maximum(disc, 0.0))
-    return np.stack(((t + root) / 2.0, (t - root) / 2.0), axis=-1)
-
-
 def spectrum_entropy_batch(spectra) -> np.ndarray:
     """spectrum_entropy along the last axis of an array of spectra, with
     the same bounds, clamping and 0 log 0 = 0."""
     p = np.asarray(spectra, dtype=float)
-    lowest = float(p.min(initial=np.inf))
-    if lowest < -ROUNDING_TOL:
-        raise NumericError(f"spectrum value {lowest:.3e} below {-ROUNDING_TOL}")
-    highest = float(p.max(initial=-np.inf))
-    if highest > 1.0 + ROUNDING_TOL:
-        raise NumericError(f"spectrum value {highest} exceeds 1")
+    _check_unit_interval(float(p.min(initial=np.inf)), float(p.max(initial=-np.inf)))
     p = np.clip(p, 0.0, 1.0)
     positive = p > 0.0
     terms = np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0)

@@ -13,6 +13,8 @@ RESIDUAL_ROUTES.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -64,7 +66,7 @@ class AxisVerification:
     negative."""
 
     axis: PauliAxis
-    residuals: dict[str, float]  # keyed as RESIDUAL_ROUTES
+    residuals: Mapping[str, float]  # read-only, keyed and ordered as RESIDUAL_ROUTES
     completeness_max: float
     gap_max: float
     gap_predicted_at_max: float
@@ -141,10 +143,10 @@ def reduce_routes(axis: PauliAxis, routes: dict[str, np.ndarray]) -> AxisVerific
     reference = positive[:, -1]
     return AxisVerification(
         axis=axis,
-        residuals={
+        residuals=MappingProxyType({
             name: float(np.max(np.abs(routes[route_a] - routes[route_b])))
             for name, (route_a, route_b) in RESIDUAL_ROUTES.items()
-        },
+        }),
         completeness_max=float(routes["completeness"].max()),
         gap_max=gap_max,
         gap_predicted_at_max=gap_predicted,

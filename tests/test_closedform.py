@@ -168,14 +168,24 @@ def test_domain_validation(bad_x):
         closed_point(1, 0.5, (1, 1, 1))
 
 
+def _assert_radicand_floor_raises():
+    with pytest.raises(NumericError, match="negative radicand"):
+        closed_batch(3, [0.5], [(0.1, 0.2, 0.3)])
+    with pytest.raises(NumericError, match="negative radicand"):
+        closed_point(3, 0.5, (0.1, 0.2, 0.3))
+
+
 def test_batched_radicand_floor(monkeypatch):
     # valid inputs keep the radicands non-negative, so a radicand below the
     # floor is injected to reach the check
     monkeypatch.setattr(closedform, "_lambda_radicand", lambda x, ak: x - 2.0)
-    with pytest.raises(NumericError):
-        closed_batch(3, [0.5], [(0.1, 0.2, 0.3)])
-    with pytest.raises(NumericError):
-        closed_point(3, 0.5, (0.1, 0.2, 0.3))
+    _assert_radicand_floor_raises()
+
+
+def test_batched_theta_radicand_floor(monkeypatch):
+    # the theta split shares the lambda split's guard
+    monkeypatch.setattr(closedform, "_theta_radicand", lambda x, ak, t_sq: x - 2.0)
+    _assert_radicand_floor_raises()
 
 
 @pytest.mark.parametrize(

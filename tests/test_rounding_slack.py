@@ -1,12 +1,13 @@
 """Every guard that allows rounding slack, pinned at its bound.
 
 The Hermiticity residual, the density trace, the Bloch norm squared, the
-density positivity, the spectrum floor and ceiling and the closed-form
-radicand floor each accept a value up to 1e-12 past its exact bound and
-reject anything further. Each guard is probed 0.5e-12 past its bound,
-which must pass, and 2e-12 past it, which must raise the guard's error.
-The eigenvalue discriminant floor reads the same slack; no Hermitian
-input reaches it (test_linalg widens the slack to do so).
+density positivity, the spectrum floor and ceiling and the radicand floor
+of the split (t +- sqrt(r))/2 each accept a value up to 1e-12 past its
+exact bound and reject anything further. Each guard is probed 0.5e-12 past
+its bound, which must pass, and 2e-12 past it, which must raise the
+guard's error. The eigenvalue discriminant floor is that same split guard
+under another name, so the closed_radicand probe pins it too; no Hermitian
+input reaches it directly (test_linalg widens the slack to do so).
 """
 
 import math
@@ -22,8 +23,11 @@ from paulinoise import (
     hermitian_eigenvalues_2x2,
     spectrum_entropy,
 )
-from paulinoise.closedform import _split_unit_spectrum_batch
-from paulinoise.linalg import hermitian_eigenvalues_batch, spectrum_entropy_batch
+from paulinoise.linalg import (
+    hermitian_eigenvalues_batch,
+    spectrum_entropy_batch,
+    split_spectrum,
+)
 
 INSIDE = 0.5e-12
 OUTSIDE = 2e-12
@@ -77,7 +81,7 @@ GUARDS = {
         NumericError, "exceeds 1",
     ),
     "closed_radicand": (
-        lambda d: _split_unit_spectrum_batch(np.array([0.25, -d])),
+        lambda d: split_spectrum(1.0, np.array([0.25, -d]), "radicand"),
         NumericError, "negative radicand",
     ),
 }

@@ -306,6 +306,15 @@ def test_axis_record_is_frozen():
         av.completeness_max = 1.0
 
 
+def test_axis_record_residuals_are_read_only():
+    # the gate reads the residuals, so they cannot change once the record is built
+    av = run_verification(3, 1, 1)[0]
+    with pytest.raises(TypeError):
+        av.residuals["lambda"] = 5.0
+    assert list(av.residuals) == list(RESIDUAL_ROUTES)
+    assert av.passed
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
