@@ -83,7 +83,7 @@ def check_density(rho) -> np.ndarray:
     positivity of a 2x2 state."""
     rho = as_matrix(rho, "density matrix")
     spectrum = _eigenvalues_2x2(rho)
-    trace = complex(np.trace(rho))
+    trace = complex(rho[0, 0] + rho[1, 1])
     if abs(trace - 1.0) > ROUNDING_TOL:
         raise ValidationError(f"density matrix trace {trace:.15g} != 1")
     if spectrum.lo < -ROUNDING_TOL:
@@ -91,7 +91,3 @@ def check_density(rho) -> np.ndarray:
             f"density matrix has negative eigenvalue {spectrum.lo:.3e}"
         )
     return rho
-
-
-def _bloch_of(rho: np.ndarray) -> BlochVector:
-    return BlochVector(*(float(np.vdot(pauli, rho).real) for pauli in SIGMAS))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterable, Iterator
 
 from .bloch import BlochVector, bloch_to_density, parse_bloch
 from .channels import (
@@ -47,10 +48,10 @@ def format_bloch(vec: BlochVector, precision: int) -> str:
 
 def sweep_reports(
     axis: PauliAxis, bloch: BlochVector, grid: list[float]
-) -> list[ChannelReport]:
-    """Full report at every retention rate of grid, in grid order."""
+) -> Iterator[ChannelReport]:
+    """Full report at every retention rate of grid, in grid order, one at a time."""
     rho = bloch_to_density(bloch)
-    return [full_report(make_one_pauli(axis, x), rho) for x in grid]
+    return (full_report(make_one_pauli(axis, x), rho) for x in grid)
 
 
 def csv_line(report: ChannelReport, precision: int) -> str:
@@ -70,7 +71,10 @@ def csv_line(report: ChannelReport, precision: int) -> str:
     return ",".join(format_value(c, precision) for c in columns)
 
 
-def write_sweep_csv(reports: list[ChannelReport], path: str, precision: int) -> None:
+def write_sweep_csv(
+    reports: Iterable[ChannelReport], path: str, precision: int
+) -> None:
+    """Keep only the formatted lines; open the file after the last one."""
     lines = [CSV_HEADER]
     lines.extend(csv_line(report, precision) for report in reports)
     with open(path, "w", encoding="ascii", newline="\n") as fh:

@@ -1,11 +1,11 @@
 """Complex linear algebra kernel for 2x2 matrices.
 
-Everything operates on plain numpy arrays with complex entries. The only
-spectral routine is the closed form for 2x2 Hermitian matrices, which is
-all the rest of the package needs. The eigenvalue and entropy kernels come
-twice: a scalar form for single operating points (math.sqrt, math.log2,
-Python floats), and a batch form over stacks of shape (..., 2, 2). Each
-guard and the split (t +- sqrt(r))/2 exist once, and both forms call them.
+The one spectral routine is the closed form for 2x2 Hermitian matrices;
+its one complex product, Re(m01 m10) in _discriminant, is spelled out as in
+measures' Kraus contraction, so no spectrum depends on the BLAS kernel. The
+eigenvalue and entropy kernels come twice: a scalar form (math.sqrt,
+math.log2, Python floats) and a batch form over stacks of shape (..., 2, 2).
+Each guard and the split (t +- sqrt(r))/2 exist once; both forms call them.
 """
 
 from __future__ import annotations

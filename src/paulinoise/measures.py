@@ -11,7 +11,9 @@ system-environment dilation. It shares no intermediate quantities with W,
 which makes the pair a genuine two-route consistency check.
 
 report_batch and environment_entropy_oracle_batch evaluate the same two
-routes over a grid of channels and a set of states at once.
+routes over a grid of channels and a set of states at once. Both Kraus
+kernels call _kraus_contraction, so they differ only in their entropies
+(math.log2 against np.log2), and no result depends on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform
-from .bloch import SIGMAS, BlochVector, _bloch_of, check_density
+from .bloch import BlochVector, check_density
 from .channels import KrausChannel
 from .linalg import (
     SpectrumPair,
@@ -30,8 +32,6 @@ from .linalg import (
     spectrum_entropy,
     spectrum_entropy_batch,
 )
-
-_SIGMA_STACK = np.array(SIGMAS)
 
 
 @dataclass(frozen=True)
@@ -52,24 +52,55 @@ class ChannelReport:
     mutual_info: float
 
 
-# The scalar Kraus contraction, one pass per operator in report_batch's
-# order (left, out, W, traces). full_report validates the state once
-# (check_density) and calls it; a channel is valid from its construction.
+def _pairs(m):
+    """The row-major (re, im) pairs of 2x2 nested entries, numbers or arrays."""
+    return [(z.real, z.imag) for row in m for z in row]
 
 
-def _kraus_contraction(ops, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The output state, the exchange matrix W and the entangled fidelity."""
-    out = np.zeros((2, 2), dtype=complex)
-    w = np.empty((2, 2), dtype=complex)
-    fidelity = 0.0
-    for i, op in enumerate(ops):
-        left = op @ rho
-        out += left @ op.conj().T
-        for j, op_j in enumerate(ops):
-            w[i, j] = np.vdot(op_j, left)  # Tr(A_j^dagger A_i rho)
-        t = complex(np.trace(rho @ op))  # Tr(rho A_i)
-        fidelity += t.real * t.real + t.imag * t.imag
-    return out, w, fidelity
+def _bloch_of(m) -> BlochVector:
+    """Tr(sigma_k m), k = 1, 2, 3: one sum or difference of two entries each."""
+    return BlochVector(m[1][0] + m[2][0], m[2][1] - m[1][1], m[0][0] - m[3][0])
+
+
+def _vdot(u, v):
+    """sum_k conj(u_k) v_k of two sequences of pairs, summed from 0 in order."""
+    re = im = 0.0
+    for (ur, ui), (vr, vi) in zip(u, v):
+        re = re + (ur * vr + ui * vi)
+        im = im + (ur * vi - ui * vr)
+    return re, im
+
+
+def _matrix(m) -> np.ndarray:
+    """The complex (..., 2, 2) array of four pairs; re + 1j * im is exact."""
+    z = [re + 1j * im for re, im in m]
+    out = np.array([z[:2], z[2:]])
+    return out.transpose(*range(2, out.ndim), 0, 1)
+
+
+def _kraus_contraction(ops, rho):
+    """The output state and W as complex (..., 2, 2) arrays, the entangled
+    fidelity and bloch_out, from 2x2 nested entries of the Kraus operators
+    and the state: Python complex numbers (full_report) or complex arrays
+    that broadcast together (report_batch). _vdot spells out every complex
+    product, so both give the same bits, whatever the BLAS kernel."""
+    ops, rho = [_pairs(op) for op in ops], _pairs(rho)
+    # left_i = A_i rho: entry (r, c) takes row r of A_i against column c of
+    # rho, passed conjugated since _vdot conjugates its first argument
+    conj_columns = [[(re, -im) for re, im in rho[c::2]] for c in (0, 1)]
+    lefts = [[_vdot(col, op[r:r + 2]) for r in (0, 2) for col in conj_columns]
+             for op in ops]
+    # out = 0 + sum_i left_i A_i^dagger: entry (a, d) takes row a of every
+    # left_i against row d of its A_i
+    op_rows = [[z for op in ops for z in op[d:d + 2]] for d in (0, 2)]
+    left_rows = [[z for left in lefts for z in left[a:a + 2]] for a in (0, 2)]
+    out = [_vdot(op_row, left_row) for left_row in left_rows for op_row in op_rows]
+    # W_ij = Tr(A_j^dagger left_i), summed in np.vdot's row-major order
+    w = [_vdot(op_j, left_i) for left_i in lefts for op_j in ops]
+    # the entangled fidelity sum_i |Tr(A_i rho)|^2, as Tr(A_i rho) = Tr(left_i)
+    traces = [(re0 + re3, im0 + im3) for (re0, im0), _, _, (re3, im3) in lefts]
+    fidelity = _vdot(traces, traces)[0]
+    return _matrix(out), _matrix(w), fidelity, _bloch_of(out)
 
 
 def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
@@ -93,9 +124,10 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
     spectrum bounds) still run on everything derived from them.
     """
     rho = check_density(rho)
-    bloch_in = _bloch_of(rho)
+    bloch_in = _bloch_of(_pairs(rho.tolist()))
     h_in = spectrum_entropy(_eigenvalues_2x2(rho))
-    out, w, fidelity = _kraus_contraction(ch.ops, rho)
+    ops = [op.tolist() for op in ch.ops]
+    out, w, fidelity, bloch_out = _kraus_contraction(ops, rho.tolist())
     thetas = _eigenvalues_2x2(out)
     h_out = spectrum_entropy(thetas)
     lambdas = _eigenvalues_2x2(w)
@@ -103,7 +135,7 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
     return ChannelReport(
         x=ch.x,
         bloch_in=bloch_in,
-        bloch_out=_bloch_of(out),
+        bloch_out=bloch_out,
         h_in=h_in,
         h_out=h_out,
         noise_n=noise_n,
@@ -128,25 +160,21 @@ def report_batch(kraus: np.ndarray, rhos: np.ndarray) -> dict[str, np.ndarray]:
     """The full_report measures bloch_out, lambdas, thetas, noise_n,
     coherent_c and fidelity_numeric for every (channel, state) pair; the
     spectra carry a trailing (hi, lo) axis."""
-    conj = kraus.conj()
-    left = np.einsum("giab,sbc->gsiac", kraus, rhos, optimize=True)  # A_i rho
-    out = np.einsum("gsiac,gidc->gsad", left, conj, optimize=True)
-    # Tr(A_j^dagger A_i rho)
-    w = np.einsum("gjac,gsiac->gsij", conj, left, optimize=True)
+    # entries ops[i][a][b] of shape (G, 1) and rho[a][b] of shape (1, S)
+    out, w, fidelity, bloch_out = _kraus_contraction(
+        np.moveaxis(kraus, 0, -1)[..., None], np.moveaxis(rhos, 0, -1)[..., None, :]
+    )
     thetas = hermitian_eigenvalues_batch(out)
     lambdas = hermitian_eigenvalues_batch(w)
     h_out = spectrum_entropy_batch(thetas)
     noise = spectrum_entropy_batch(lambdas)
-    traces = np.einsum("sab,giba->gsi", rhos, kraus, optimize=True)  # Tr(rho A_i)
     return {
-        "bloch_out": np.einsum(
-            "kab,gsab->gsk", _SIGMA_STACK.conj(), out, optimize=True
-        ).real,
+        "bloch_out": np.stack(bloch_out, axis=-1),
         "lambdas": lambdas,
         "thetas": thetas,
         "noise_n": noise,
         "coherent_c": h_out - noise,
-        "fidelity_numeric": (traces.real**2 + traces.imag**2).sum(axis=-1),
+        "fidelity_numeric": fidelity,
     }
 
 

@@ -87,11 +87,11 @@ class AxisVerification:
 
 
 def random_bloch(rng: np.random.Generator) -> BlochVector:
-    """Uniform components in [-1, 1], resampled until inside the unit ball."""
+    """Uniform components in [-1, 1], resampled until norm_sq <= 1."""
     while True:
-        v = rng.uniform(-1.0, 1.0, size=3)
-        if float(v @ v) <= 1.0:
-            return BlochVector(*(float(c) for c in v))
+        v = BlochVector(*rng.uniform(-1.0, 1.0, size=3).tolist())
+        if v.norm_sq <= 1.0:
+            return v
 
 
 def axis_routes(

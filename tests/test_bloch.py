@@ -16,8 +16,8 @@ from paulinoise import (
     make_one_pauli,
     parse_bloch,
 )
-from paulinoise.bloch import _bloch_of
 from paulinoise.linalg import hermitian_eigenvalues_2x2
+from paulinoise.measures import _bloch_of, _pairs
 
 # binary entropy of (1 + sqrt(0.97))/2, evaluated with 50-digit arithmetic
 ENTROPY_AT_097 = 0.06412343509793366
@@ -43,16 +43,16 @@ def test_sigma1_eigenstate():
 
 
 def test_density_to_bloch_maximally_mixed():
-    assert _bloch_of(check_density(np.eye(2) / 2)) == BlochVector(0, 0, 0)
+    assert _bloch_of(_pairs(check_density(np.eye(2) / 2))) == BlochVector(0, 0, 0)
 
 
 def test_density_to_bloch_pure_pole():
-    assert _bloch_of(check_density([[1, 0], [0, 0]])) == BlochVector(0, 0, 1)
+    assert _bloch_of(_pairs(check_density([[1, 0], [0, 0]]))) == BlochVector(0, 0, 1)
 
 
 def test_density_to_bloch_general():
     rho = [[0.5, 0.25 - 0.3j], [0.25 + 0.3j, 0.5]]
-    a = _bloch_of(check_density(rho))
+    a = _bloch_of(_pairs(check_density(rho)))
     assert a.a1 == pytest.approx(0.5, abs=1e-15)
     assert a.a2 == pytest.approx(0.6, abs=1e-15)
     assert a.a3 == pytest.approx(0.0, abs=1e-15)
@@ -60,7 +60,7 @@ def test_density_to_bloch_general():
 
 @given(bloch_vectors())
 def test_round_trip(a):
-    back = _bloch_of(bloch_to_density(a))
+    back = _bloch_of(_pairs(bloch_to_density(a)))
     for have, want in zip(back, a):
         assert have == pytest.approx(want, abs=1e-14)
 

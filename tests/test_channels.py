@@ -16,7 +16,7 @@ from paulinoise import (
     fidelity_paper_closed,
     make_one_pauli,
 )
-from paulinoise.bloch import IDENTITY, SIGMA1, _bloch_of
+from paulinoise.bloch import IDENTITY, SIGMA1
 from paulinoise.channels import as_axis
 from paulinoise.linalg import hermitian_eigenvalues_2x2
 from paulinoise.measures import _kraus_contraction
@@ -152,8 +152,7 @@ def test_completeness_of_constructed_channel(axis, x):
 
 def test_apply_kills_transverse_components_at_half():
     ops = make_one_pauli(1, 0.5).ops
-    out = _kraus_contraction(ops, bloch_to_density((0.5, 0.6, 0.6)))[0]
-    b = _bloch_of(out)
+    b = _kraus_contraction(ops, bloch_to_density((0.5, 0.6, 0.6)))[3]
     assert b.a1 == pytest.approx(0.5, abs=1e-15)
     assert b.a2 == pytest.approx(0.0, abs=1e-15)
     assert b.a3 == pytest.approx(0.0, abs=1e-15)
@@ -168,8 +167,7 @@ def test_apply_is_identity_at_x_one(axis, a):
 
 def test_apply_sigma3_flips_transverse_sign():
     ops = make_one_pauli(3, 0.2).ops
-    out = _kraus_contraction(ops, bloch_to_density((0.6, 0.6, 0.5)))[0]
-    b = _bloch_of(out)
+    b = _kraus_contraction(ops, bloch_to_density((0.6, 0.6, 0.5)))[3]
     assert b.a1 == pytest.approx(-0.36, abs=1e-15)
     assert b.a2 == pytest.approx(-0.36, abs=1e-15)
     assert b.a3 == pytest.approx(0.5, abs=1e-15)
@@ -178,8 +176,7 @@ def test_apply_sigma3_flips_transverse_sign():
 @settings(max_examples=60)
 @given(axes(), retentions(), bloch_vectors())
 def test_axis_component_preserved_transverse_scaled(axis, x, a):
-    out = _kraus_contraction(make_one_pauli(axis, x).ops, bloch_to_density(a))[0]
-    b = _bloch_of(out)
+    b = _kraus_contraction(make_one_pauli(axis, x).ops, bloch_to_density(a))[3]
     scale = 2 * x - 1
     for k in range(3):
         expected = a[k] if k == axis - 1 else scale * a[k]

@@ -209,14 +209,23 @@ def test_sweep_round_trip(tmp_path):
 
 
 def test_sweep_error_is_not_relabelled_as_steps(capsys, monkeypatch, tmp_path):
-    def fail(ch, rho):
-        raise ValidationError("boom")
+    # the last row fails after the others were formatted: the error keeps
+    # its own text and, as the file is opened only after the last row, no
+    # file is left behind
+    report = cli.full_report
 
-    monkeypatch.setattr(cli, "full_report", fail)
+    def fail_last(ch, rho):
+        if ch.x == 1.0:
+            raise ValidationError("boom")
+        return report(ch, rho)
+
+    monkeypatch.setattr(cli, "full_report", fail_last)
+    out = tmp_path / "s.csv"
     rc = main(["sweep", "--channel", "sigma1", "--bloch", "0,0,0", "--steps", "5",
-               "--out", str(tmp_path / "s.csv")])
+               "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == "error: boom\n"
+    assert not out.exists()
 
 
 def test_verify_small_run_passes(capsys):

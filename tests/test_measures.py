@@ -6,6 +6,8 @@ from hypothesis import given, settings
 
 from helpers import axes, bloch_vectors, hermiticity_residual, reference, retentions
 from paulinoise import (
+    KrausChannel,
+    PauliAxis,
     bloch_to_density,
     environment_entropy_oracle,
     full_report,
@@ -13,7 +15,7 @@ from paulinoise import (
     make_one_pauli,
 )
 from paulinoise import bloch, closedform, linalg
-from paulinoise.measures import _kraus_contraction
+from paulinoise.measures import _kraus_contraction, report_batch
 
 # binary entropy of (1 + sqrt(0.97))/2, evaluated with 50-digit arithmetic;
 # the input entropy of every reference state used below
@@ -229,3 +231,42 @@ def test_full_report_validates_once(monkeypatch, axis):
     counted(closedform, "_domain")
     full_report(ch, rho)
     assert calls == {"as_matrix": 1, "_domain": 0}
+
+
+# full_report and report_batch run one contraction, so every quantity but
+# the entropies (math.log2 against np.log2) is bit-equal between them.
+_KERNEL_RNG = np.random.default_rng(20261019)
+KERNEL_RATES = [0.0, 1e-9, 0.5, 1 - 1e-9, 1.0, *_KERNEL_RNG.random(6).tolist()]
+KERNEL_STATES = [
+    (0.48, 0.6, 0.64),  # pure
+    (1.0, 0.0, 0.0),
+    (0.0, -1.0, 0.0),
+    (0.0, 0.0, 1.0),
+    (0.0, 0.0, 0.0),
+    (1e-12, -1e-12, 1e-12),
+    (0.6, 0.5, 0.6),
+    *(
+        tuple((v * _KERNEL_RNG.random() / np.linalg.norm(v)).tolist())
+        for v in _KERNEL_RNG.normal(size=(8, 3))
+    ),
+]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("axis", list(PauliAxis), ids=lambda axis: axis.token)
+def test_full_report_is_bit_equal_to_report_batch(axis):
+    channels = [KrausChannel(axis, x) for x in KERNEL_RATES]
+    rhos = [bloch_to_density(a) for a in KERNEL_STATES]
+    batch = report_batch(np.array([ch.ops for ch in channels]), np.array(rhos))
+    for g, ch in enumerate(channels):
+        for s, rho in enumerate(rhos):
+            rep, at = full_report(ch, rho), (g, s)
+            assert _bits(rep.bloch_out) == _bits(batch["bloch_out"][at]), at
+            assert _bits(rep.lambdas) == _bits(batch["lambdas"][at]), at
+            assert _bits(rep.thetas) == _bits(batch["thetas"][at]), at
+            assert _bits(rep.fidelity_numeric) == _bits(batch["fidelity_numeric"][at]), at
+            assert abs(rep.noise_n - batch["noise_n"][at]) <= 1e-15, at
+            assert abs(rep.coherent_c - batch["coherent_c"][at]) <= 1e-15, at
