@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import ROUNDING_TOL, _eigenvalues_2x2, as_matrix, as_real
+from .linalg import ROUNDING_TOL, _eigenvalues, _pairs, as_matrix, as_real
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -82,7 +82,7 @@ def check_density(rho) -> np.ndarray:
     """Validate Hermiticity (inside the eigenvalue kernel), unit trace and
     positivity of a 2x2 state."""
     rho = as_matrix(rho, "density matrix")
-    spectrum = _eigenvalues_2x2(rho)
+    spectrum = _eigenvalues(_pairs(rho.tolist()))
     trace = complex(rho[0, 0] + rho[1, 1])
     if abs(trace - 1.0) > ROUNDING_TOL:
         raise ValidationError(f"density matrix trace {trace:.15g} != 1")

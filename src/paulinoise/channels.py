@@ -16,13 +16,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
-from math import isfinite, sqrt
+from math import hypot, isfinite, sqrt
 
 import numpy as np
 
 from .bloch import IDENTITY, SIGMAS
 from .errors import ValidationError
-from .linalg import _BOOLS, as_real
+from .linalg import _BOOLS, _pairs, _vdot, as_real
 
 COMPLETENESS_TOL = 1e-13
 
@@ -119,8 +119,8 @@ def make_one_pauli(axis, x) -> KrausChannel:
 
 
 def completeness_residual(ch: KrausChannel) -> float:
-    """Largest absolute entry of sum_i A_i^dagger A_i - I."""
-    acc = np.zeros((2, 2), dtype=complex)
-    for op in ch.ops:
-        acc += op.conj().T @ op
-    return float(np.abs(acc - IDENTITY).max())
+    """Largest absolute entry of sum_i A_i^dagger A_i - I, without BLAS."""
+    ops = [_pairs(op.tolist()) for op in ch.ops]
+    columns = [[z for op in ops for z in op[c::2]] for c in (0, 1)]
+    sums = [_vdot(u, v) for u in columns for v in columns]
+    return max(hypot(re - one, im) for (re, im), one in zip(sums, (1.0, 0.0, 0.0, 1.0)))

@@ -7,7 +7,7 @@ closed_batch evaluates them over a grid of retention rates and a set of
 Bloch vectors; closed_point is that computation on a batch of one, and
 fidelity_paper_closed its scalar form. The lambda and theta spectra are
 linalg.split_spectrum of their radicands, the split and floor the
-eigenvalue kernels use.
+eigenvalue kernel uses.
 The known case is the axis-2 fidelity, whose printed sign disagrees with
 the trace-form definition; see fidelity_paper_closed.
 """

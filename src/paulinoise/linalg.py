@@ -1,24 +1,25 @@
 """Complex linear algebra kernel for 2x2 matrices.
 
-The one spectral routine is the closed form for 2x2 Hermitian matrices;
-its one complex product, Re(m01 m10) in _discriminant, is spelled out as in
-measures' Kraus contraction, so no spectrum depends on the BLAS kernel. The
-eigenvalue and entropy kernels come twice: a scalar form (math.sqrt,
-math.log2, Python floats) and a batch form over stacks of shape (..., 2, 2).
-Each guard and the split (t +- sqrt(r))/2 exist once; both forms call them.
+The one spectral routine, _eigenvalues, is the closed form for a 2x2
+Hermitian matrix given as its four row-major (re, im) pairs: Python floats
+on the scalar routes, arrays that broadcast together on the batch routes.
+Its guards and the split (t +- sqrt(r))/2 run unchanged on both. Its one
+complex product, Re(m01 m10), is spelled out, as are _vdot's, so no
+spectrum depends on the BLAS kernel. The entropy kernel comes twice: a
+scalar form (math.log2, Python floats) and a batch form over arrays.
 """
 
 from __future__ import annotations
 
 from math import inf, log2, sqrt
-from numbers import Real
+from numbers import Number, Real
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
 
-# Python and numpy bools are numbers too; no count, axis, rate or component takes one.
+# Python and numpy bools are numbers too; no count, axis, rate or entry takes one.
 _BOOLS = (bool, np.bool_)
 
 # The rounding slack of every guard (Hermiticity, trace, Bloch norm, spectra,
@@ -35,10 +36,16 @@ class SpectrumPair(NamedTuple):
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2x2 complex matrix, rejecting NaN/Inf entries."""
-    out = np.asarray(m, dtype=complex)
-    if out.shape != (2, 2):
-        raise ValidationError(f"{name} must be 2x2, got shape {out.shape}")
+    """Coerce to a 2x2 complex matrix whose entries are numbers (no text or
+    bool; an ndarray of numeric dtype passes whole), rejecting NaN/Inf."""
+    numeric = isinstance(m, np.ndarray) and m.dtype.kind in "iufc"
+    raw = m if numeric else np.asarray(m, dtype=object)
+    if raw.shape != (2, 2):
+        raise ValidationError(f"{name} must be 2x2, got shape {raw.shape}")
+    entries = () if numeric else raw.flat
+    if any(isinstance(z, _BOOLS) or not isinstance(z, Number) for z in entries):
+        raise ValidationError(f"{name} entries must be numbers, got {m!r}")
+    out = raw.astype(complex, copy=False)
     if not np.all(np.isfinite(out)):
         raise ValidationError(f"{name} contains non-finite entries")
     return out
@@ -54,30 +61,23 @@ def as_real(value) -> float:
         return inf if value > 0 else -inf
 
 
+def _pairs(m):
+    """The row-major (re, im) pairs of 2x2 nested entries, numbers or arrays."""
+    return [(z.real, z.imag) for row in m for z in row]
+
+
+def _vdot(u, v):
+    """sum_k conj(u_k) v_k of two sequences of pairs, summed from 0 in order."""
+    re = im = 0.0
+    for (ur, ui), (vr, vi) in zip(u, v):
+        re = re + (ur * vr + ui * vi)
+        im = im + (ur * vi - ui * vr)
+    return re, im
+
+
 def hermitian_eigenvalues_2x2(m) -> SpectrumPair:
-    """Eigenvalues of a 2x2 Hermitian matrix via (t +- sqrt(t^2 - 4d))/2,
-    with t the trace and d the determinant. The discriminant t^2 - 4d is
-    evaluated in its cancellation-free regrouping (_discriminant), which
-    keeps nearly degenerate spectra accurate to machine precision, and
-    floored by split_spectrum: below -ROUNDING_TOL it cannot come from a
-    Hermitian matrix and raises NumericError."""
-    return _eigenvalues_2x2(as_matrix(m))
-
-
-def _check_hermitian(m: np.ndarray) -> None:
-    """The Hermiticity guard of a 2x2 matrix or a stack of shape (..., 2, 2)."""
-    residual = float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max(initial=0.0))
-    if residual > ROUNDING_TOL:
-        raise ValidationError(
-            f"matrix is not Hermitian: residual {residual:.3e} exceeds {ROUNDING_TOL}"
-        )
-
-
-def _discriminant(m00, m11, m01, m10):
-    """(m00 - m11)^2 + 4 Re(m01 m10), floats or arrays; Re(m01 m10) is spelled
-    out, as numpy's complex product may fuse the multiply-add."""
-    gap = m00 - m11
-    return gap * gap + 4.0 * (m01.real * m10.real - m01.imag * m10.imag)
+    """Eigenvalues of a 2x2 Hermitian matrix from outside: as_matrix, _eigenvalues."""
+    return _eigenvalues(_pairs(as_matrix(m).tolist()))
 
 
 def split_spectrum(t, r, name: str):
@@ -93,23 +93,27 @@ def split_spectrum(t, r, name: str):
     return SpectrumPair(hi, lo) if scalar else np.stack((hi, lo), axis=-1)
 
 
-def _eigenvalues_2x2(m: np.ndarray) -> SpectrumPair:
-    """hermitian_eigenvalues_2x2 without the coercion, for a state that
-    check_density has coerced and the matrices full_report builds from it."""
-    _check_hermitian(m)
-    (m00, m01), (m10, m11) = m.tolist()
-    disc = _discriminant(m00.real, m11.real, m01, m10)
-    return split_spectrum(m00.real + m11.real, disc, "eigenvalue discriminant")
+def _eigenvalues(m):
+    """Eigenvalues of a 2x2 Hermitian matrix m, given as its four row-major
+    (re, im) pairs, as (t +- sqrt(r))/2: t is the trace, and r = t^2 - 4 det
+    is (m00 - m11)^2 + 4 Re(m01 m10), accurate for nearly degenerate spectra.
+    An entry of |m - m^dagger| past ROUNDING_TOL raises ValidationError."""
+    (r00, i00), (r01, i01), (r10, i10), (r11, i11) = m
+    parts = 2.0 * i00, 2.0 * i11, np.hypot(r01 - r10, i01 + i10)
+    residual = max(float(np.abs(part).max(initial=0.0)) for part in parts)
+    if residual > ROUNDING_TOL:
+        raise ValidationError(
+            f"matrix is not Hermitian: residual {residual:.3e} exceeds {ROUNDING_TOL}"
+        )
+    gap = r00 - r11
+    disc = gap * gap + 4.0 * (r01 * r10 - i01 * i10)
+    return split_spectrum(r00 + r11, disc, "eigenvalue discriminant")
 
 
 def hermitian_eigenvalues_batch(m: np.ndarray) -> np.ndarray:
-    """_eigenvalues_2x2 over a complex stack of shape (..., 2, 2) that the
-    package built, so it takes no input checks; returns the spectra as shape
-    (..., 2), descending. Its Hermiticity and discriminant guards still raise."""
-    _check_hermitian(m)
-    m00, m11 = m[..., 0, 0].real, m[..., 1, 1].real
-    disc = _discriminant(m00, m11, m[..., 0, 1], m[..., 1, 0])
-    return split_spectrum(m00 + m11, disc, "eigenvalue discriminant")
+    """_eigenvalues over a complex stack of shape (..., 2, 2) that the
+    package built, so without input checks; spectra (..., 2), descending."""
+    return _eigenvalues(_pairs(np.moveaxis(m, (-2, -1), (0, 1))))
 
 
 def _check_unit_interval(lowest: float, highest: float) -> None:

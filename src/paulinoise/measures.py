@@ -12,8 +12,10 @@ which makes the pair a genuine two-route consistency check.
 
 report_batch and environment_entropy_oracle_batch evaluate the same two
 routes over a grid of channels and a set of states at once. Both Kraus
-kernels call _kraus_contraction, so they differ only in their entropies
-(math.log2 against np.log2), and no result depends on the BLAS kernel.
+kernels call _kraus_contraction and pass its (re, im) pairs to the one
+eigenvalue kernel, linalg._eigenvalues, so they differ only in their
+entropies (math.log2 against np.log2), and no result depends on the BLAS
+kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from .bloch import BlochVector, check_density
 from .channels import KrausChannel
 from .linalg import (
     SpectrumPair,
-    _eigenvalues_2x2,
+    _eigenvalues,
+    _pairs,
+    _vdot,
     hermitian_eigenvalues_batch,
     spectrum_entropy,
     spectrum_entropy_batch,
@@ -52,38 +56,17 @@ class ChannelReport:
     mutual_info: float
 
 
-def _pairs(m):
-    """The row-major (re, im) pairs of 2x2 nested entries, numbers or arrays."""
-    return [(z.real, z.imag) for row in m for z in row]
-
-
 def _bloch_of(m) -> BlochVector:
     """Tr(sigma_k m), k = 1, 2, 3: one sum or difference of two entries each."""
     return BlochVector(m[1][0] + m[2][0], m[2][1] - m[1][1], m[0][0] - m[3][0])
 
 
-def _vdot(u, v):
-    """sum_k conj(u_k) v_k of two sequences of pairs, summed from 0 in order."""
-    re = im = 0.0
-    for (ur, ui), (vr, vi) in zip(u, v):
-        re = re + (ur * vr + ui * vi)
-        im = im + (ur * vi - ui * vr)
-    return re, im
-
-
-def _matrix(m) -> np.ndarray:
-    """The complex (..., 2, 2) array of four pairs; re + 1j * im is exact."""
-    z = [re + 1j * im for re, im in m]
-    out = np.array([z[:2], z[2:]])
-    return out.transpose(*range(2, out.ndim), 0, 1)
-
-
 def _kraus_contraction(ops, rho):
-    """The output state and W as complex (..., 2, 2) arrays, the entangled
-    fidelity and bloch_out, from 2x2 nested entries of the Kraus operators
-    and the state: Python complex numbers (full_report) or complex arrays
-    that broadcast together (report_batch). _vdot spells out every complex
-    product, so both give the same bits, whatever the BLAS kernel."""
+    """The output state and W as their four row-major (re, im) pairs, the
+    entangled fidelity and bloch_out, from 2x2 nested entries of the Kraus
+    operators and the state: Python complex numbers (full_report) or complex
+    arrays that broadcast together (report_batch). _vdot spells out every
+    complex product, so both give the same bits, whatever the BLAS kernel."""
     ops, rho = [_pairs(op) for op in ops], _pairs(rho)
     # left_i = A_i rho: entry (r, c) takes row r of A_i against column c of
     # rho, passed conjugated since _vdot conjugates its first argument
@@ -100,7 +83,7 @@ def _kraus_contraction(ops, rho):
     # the entangled fidelity sum_i |Tr(A_i rho)|^2, as Tr(A_i rho) = Tr(left_i)
     traces = [(re0 + re3, im0 + im3) for (re0, im0), _, _, (re3, im3) in lefts]
     fidelity = _vdot(traces, traces)[0]
-    return _matrix(out), _matrix(w), fidelity, _bloch_of(out)
+    return out, w, fidelity, _bloch_of(out)
 
 
 def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
@@ -125,12 +108,12 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
     """
     rho = check_density(rho)
     bloch_in = _bloch_of(_pairs(rho.tolist()))
-    h_in = spectrum_entropy(_eigenvalues_2x2(rho))
+    h_in = spectrum_entropy(_eigenvalues(_pairs(rho.tolist())))
     ops = [op.tolist() for op in ch.ops]
     out, w, fidelity, bloch_out = _kraus_contraction(ops, rho.tolist())
-    thetas = _eigenvalues_2x2(out)
+    thetas = _eigenvalues(out)
     h_out = spectrum_entropy(thetas)
-    lambdas = _eigenvalues_2x2(w)
+    lambdas = _eigenvalues(w)
     noise_n = spectrum_entropy(lambdas)
     return ChannelReport(
         x=ch.x,
@@ -164,8 +147,8 @@ def report_batch(kraus: np.ndarray, rhos: np.ndarray) -> dict[str, np.ndarray]:
     out, w, fidelity, bloch_out = _kraus_contraction(
         np.moveaxis(kraus, 0, -1)[..., None], np.moveaxis(rhos, 0, -1)[..., None, :]
     )
-    thetas = hermitian_eigenvalues_batch(out)
-    lambdas = hermitian_eigenvalues_batch(w)
+    thetas = _eigenvalues(out)
+    lambdas = _eigenvalues(w)
     h_out = spectrum_entropy_batch(thetas)
     noise = spectrum_entropy_batch(lambdas)
     return {

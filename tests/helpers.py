@@ -70,6 +70,12 @@ def hermiticity_residual(m) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
+def matrix_of(pairs) -> np.ndarray:
+    """The complex 2x2 matrix of four row-major (re, im) pairs, the form in
+    which the Kraus contraction returns the output state and W."""
+    return np.array([complex(re, im) for re, im in pairs]).reshape(2, 2)
+
+
 def reference_values(axis, x, a) -> dict:
     """The reference at one point as doubles, keyed by the route-array
     quantity names; the spectra are (hi, lo) pairs."""

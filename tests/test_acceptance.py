@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from helpers import hermiticity_residual
+from helpers import hermiticity_residual, matrix_of
 from paulinoise import bloch_to_density, make_one_pauli
 from paulinoise.bloch import BlochVector
 from paulinoise.channels import PauliAxis
@@ -93,7 +93,7 @@ def test_criterion_3_completeness_and_state_validity(verification):
     for axis, bloch in REFERENCE_STATES.items():
         rho = bloch_to_density(bloch)
         for x in retention_grid(GRID):
-            out = _kraus_contraction(make_one_pauli(axis, x).ops, rho)[0]
+            out = matrix_of(_kraus_contraction(make_one_pauli(axis, x).ops, rho)[0])
             worst_herm = max(worst_herm, hermiticity_residual(out))
             worst_trace = max(worst_trace, abs(np.trace(out).real - 1.0))
             lowest_eigenvalue = min(

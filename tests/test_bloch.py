@@ -16,8 +16,8 @@ from paulinoise import (
     make_one_pauli,
     parse_bloch,
 )
-from paulinoise.linalg import hermitian_eigenvalues_2x2
-from paulinoise.measures import _bloch_of, _pairs
+from paulinoise.linalg import _pairs, hermitian_eigenvalues_2x2
+from paulinoise.measures import _bloch_of
 
 # binary entropy of (1 + sqrt(0.97))/2, evaluated with 50-digit arithmetic
 ENTROPY_AT_097 = 0.06412343509793366

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import axes, bloch_vectors, retentions
+from helpers import axes, bloch_vectors, matrix_of, retentions
 from paulinoise import (
     KrausChannel,
     PauliAxis,
@@ -18,7 +18,7 @@ from paulinoise import (
 )
 from paulinoise.bloch import IDENTITY, SIGMA1
 from paulinoise.channels import as_axis
-from paulinoise.linalg import hermitian_eigenvalues_2x2
+from paulinoise.linalg import _pairs, hermitian_eigenvalues_2x2
 from paulinoise.measures import _kraus_contraction
 
 
@@ -161,8 +161,8 @@ def test_apply_kills_transverse_components_at_half():
 @given(axes(), bloch_vectors())
 def test_apply_is_identity_at_x_one(axis, a):
     rho = bloch_to_density(a)
-    assert np.allclose(_kraus_contraction(make_one_pauli(axis, 1.0).ops, rho)[0], rho,
-                       atol=1e-15)
+    out = _kraus_contraction(make_one_pauli(axis, 1.0).ops, rho)[0]
+    assert np.allclose(out, _pairs(rho), atol=1e-15)
 
 
 def test_apply_sigma3_flips_transverse_sign():
@@ -188,10 +188,10 @@ def test_axis_component_preserved_transverse_scaled(axis, x, a):
 def test_output_spectra_agree_at_x_and_one_minus_x(axis, x, a):
     rho = bloch_to_density(a)
     direct = hermitian_eigenvalues_2x2(
-        _kraus_contraction(make_one_pauli(axis, x).ops, rho)[0]
+        matrix_of(_kraus_contraction(make_one_pauli(axis, x).ops, rho)[0])
     )
     mirrored = hermitian_eigenvalues_2x2(
-        _kraus_contraction(make_one_pauli(axis, 1 - x).ops, rho)[0]
+        matrix_of(_kraus_contraction(make_one_pauli(axis, 1 - x).ops, rho)[0])
     )
     assert direct.hi == pytest.approx(mirrored.hi, abs=1e-12)
     assert direct.lo == pytest.approx(mirrored.lo, abs=1e-12)
@@ -201,12 +201,12 @@ def test_output_spectra_agree_at_x_and_one_minus_x(axis, x, a):
 @given(axes(), retentions(), bloch_vectors())
 def test_output_positivity(axis, x, a):
     out = _kraus_contraction(make_one_pauli(axis, x).ops, bloch_to_density(a))[0]
-    assert hermitian_eigenvalues_2x2(out).lo >= -1e-12
+    assert hermitian_eigenvalues_2x2(matrix_of(out)).lo >= -1e-12
 
 
 @given(axes(), bloch_vectors())
 def test_channel_at_half_is_a_projection(axis, a):
     ch = make_one_pauli(axis, 0.5)
     once = _kraus_contraction(ch.ops, bloch_to_density(a))[0]
-    twice = _kraus_contraction(ch.ops, once)[0]
+    twice = _kraus_contraction(ch.ops, matrix_of(once))[0]
     assert np.allclose(twice, once, atol=1e-13)

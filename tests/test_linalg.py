@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -5,16 +8,24 @@ from hypothesis import strategies as st
 
 from helpers import hermiticity_residual
 from paulinoise import (
+    KrausChannel,
     NumericError,
     SpectrumPair,
     ValidationError,
     check_density,
+    environment_entropy_oracle,
+    full_report,
     hermitian_eigenvalues_2x2,
     spectrum_entropy,
 )
 from paulinoise import linalg
 from paulinoise.bloch import IDENTITY, SIGMA1, SIGMA2, SIGMA3
-from paulinoise.linalg import hermitian_eigenvalues_batch, spectrum_entropy_batch
+from paulinoise.linalg import (
+    _eigenvalues,
+    _pairs,
+    hermitian_eigenvalues_batch,
+    spectrum_entropy_batch,
+)
 
 _entry = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 
@@ -50,11 +61,19 @@ def test_eigenvalues_reject_wrong_shape():
         hermitian_eigenvalues_2x2(np.eye(3))
 
 
-@pytest.mark.parametrize(
+ENTRY_POINTS = pytest.mark.parametrize(
     "entry",
-    [check_density, hermitian_eigenvalues_2x2],
-    ids=["check_density", "eigenvalues"],
+    [
+        check_density,
+        hermitian_eigenvalues_2x2,
+        lambda m: full_report(KrausChannel(1, 0.3), m),
+        lambda m: environment_entropy_oracle(KrausChannel(2, 0.3), m),
+    ],
+    ids=["check_density", "eigenvalues", "full_report", "oracle"],
 )
+
+
+@ENTRY_POINTS
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -62,14 +81,41 @@ def test_eigenvalues_reject_wrong_shape():
         (np.ones((2, 3)), r"must be 2x2, got shape \(2, 3\)"),
         ([[1.0]], r"must be 2x2, got shape \(1, 1\)"),
         ([0.5, 0.5], r"must be 2x2, got shape \(2,\)"),
+        ([[1, 0], [0]], r"must be 2x2, got shape \(2,\)"),
+        ([["0.5", "x", "y"]], r"must be 2x2, got shape \(1, 3\)"),
         ([[0.5, 0.0], [0.0, np.nan]], "non-finite"),
         ([[np.inf, 0.0], [0.0, 0.5]], "non-finite"),
+        ([["0.5", 0], [0, "0.5"]], "entries must be numbers"),
+        ([[b"1", 0], [0, 0]], "entries must be numbers"),
+        ([[True, False], [False, False]], "entries must be numbers"),
+        ([[True, 0.5], [0.0, 0.5]], "entries must be numbers"),
+        (np.array([[True, False], [False, False]]), "entries must be numbers"),
+        ([[0.5, 0], [0, "x"]], "entries must be numbers"),
+        ([[0.5, 0], [0, {}]], "entries must be numbers"),
+        ([[np.nan, 0], [0, "x"]], "entries must be numbers"),
     ],
-    ids=["3x3", "2x3", "1x1", "vector", "nan", "inf"],
+    ids=["3x3", "2x3", "1x1", "vector", "ragged", "text-1x3", "nan", "inf",
+         "text", "bytes", "bools", "bool-and-floats", "bool-array", "text-entry",
+         "dict-entry", "nan-and-text"],
 )
 def test_2x2_entry_points_share_one_coercion(entry, bad, message):
     with pytest.raises(ValidationError, match=message):
         entry(bad)
+
+
+@ENTRY_POINTS
+@pytest.mark.parametrize(
+    "numbers",
+    [
+        [[Fraction(1, 2), 0], [0, Fraction(1, 2)]],
+        [[np.float32(0.5), np.int64(0)], [0j, np.complex128(0.5)]],
+        [[Decimal("0.5"), 0], [0, Decimal("0.5")]],
+        np.array([[1, 0], [0, 1]]) / 2,
+    ],
+    ids=["Fraction", "numpy-numbers", "Decimal", "float-array"],
+)
+def test_2x2_entry_points_take_any_number(entry, numbers):
+    np.testing.assert_equal(entry(numbers), entry(np.eye(2) / 2))
 
 
 @given(_entry, _entry, _entry, _entry)
@@ -174,12 +220,67 @@ def _edge_hermitian_batch(rng):
     return np.concatenate((random, diagonal, near_degenerate, exact))
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+NON_HERMITIAN_KINDS = (
+    "imaginary-diagonal", "real-off-diagonal", "imaginary-off-diagonal"
+)
+
+
+def _skewed(kind, d):
+    # a state whose |m - m^dagger| has largest entry d, in one kind of entry
+    m = np.array([[0.5, 0.25 + 0.1j], [0.25 - 0.1j, 0.5]])
+    if kind == "imaginary-diagonal":
+        m[0, 0] += 0.5j * d
+    elif kind == "real-off-diagonal":
+        m[0, 1] += d
+    else:
+        m[1, 0] += 1j * d
+    return m
+
+
 def test_batched_eigenvalues_equal_scalar_kernel():
-    batch = _edge_hermitian_batch(np.random.default_rng(3))
-    spectra = hermitian_eigenvalues_batch(batch.reshape(5, -1, 2, 2))
-    assert spectra.shape == (5, len(batch) // 5, 2)
-    for m, pair in zip(batch, spectra.reshape(-1, 2)):
-        assert tuple(pair) == hermitian_eigenvalues_2x2(m)
+    # one kernel, _eigenvalues, on Python-number pairs and on array pairs,
+    # with non-Hermitian matrices just inside the slack among the inputs
+    inside = [_skewed(k, 0.999 * linalg.ROUNDING_TOL) for k in NON_HERMITIAN_KINDS]
+    for m in inside:
+        assert 0.0 < hermiticity_residual(m) < linalg.ROUNDING_TOL
+        np.testing.assert_array_equal(check_density(m), m)
+    batch = np.concatenate((_edge_hermitian_batch(np.random.default_rng(3)), inside))
+    spectra = hermitian_eigenvalues_batch(batch.reshape(8, -1, 2, 2))
+    assert spectra.shape == (8, len(batch) // 8, 2)
+    # array pairs that broadcast with Python floats: the diagonal's imaginary
+    # parts, which enter only the Hermiticity guard, as 0.0
+    (r00, _), m01, m10, (r11, _) = _pairs(np.moveaxis(batch, 0, -1))
+    broadcast = _eigenvalues([(r00, 0.0), m01, m10, (r11, 0.0)])
+    for m, pair, other in zip(batch, spectra.reshape(-1, 2), broadcast):
+        scalar = _eigenvalues(_pairs(m.tolist()))
+        assert type(scalar) is SpectrumPair
+        assert _bits(pair) == _bits(other) == _bits(scalar)
+        assert _bits(hermitian_eigenvalues_2x2(m)) == _bits(scalar)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        hermitian_eigenvalues_2x2,
+        lambda m: hermitian_eigenvalues_batch(np.array([IDENTITY / 2, m, SIGMA3])),
+        check_density,
+    ],
+    ids=["eigenvalues", "batch", "check_density"],
+)
+@pytest.mark.parametrize("kind", NON_HERMITIAN_KINDS)
+def test_hermiticity_residual_reported_just_outside(kind, entry):
+    m = _skewed(kind, 1.001 * linalg.ROUNDING_TOL)
+    residual = hermiticity_residual(m)
+    assert residual > linalg.ROUNDING_TOL
+    with pytest.raises(ValidationError) as info:
+        entry(m)
+    assert str(info.value) == (
+        f"matrix is not Hermitian: residual {residual:.3e} exceeds 1e-12"
+    )
 
 
 @pytest.mark.parametrize(

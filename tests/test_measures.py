@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import axes, bloch_vectors, hermiticity_residual, reference, retentions
+from helpers import (
+    axes,
+    bloch_vectors,
+    hermiticity_residual,
+    matrix_of,
+    reference,
+    retentions,
+)
 from paulinoise import (
     KrausChannel,
     PauliAxis,
@@ -15,6 +22,7 @@ from paulinoise import (
     make_one_pauli,
 )
 from paulinoise import bloch, closedform, linalg
+from paulinoise.linalg import _pairs
 from paulinoise.measures import _kraus_contraction, report_batch
 
 # binary entropy of (1 + sqrt(0.97))/2, evaluated with 50-digit arithmetic;
@@ -32,24 +40,24 @@ def _rho(a):
 
 def test_w_matrix_sigma1_halfway():
     w = _kraus_contraction(make_one_pauli(1, 0.5).ops, _rho((0.5, 0.6, 0.6)))[1]
-    assert np.allclose(w, [[0.5, 0.25], [0.25, 0.5]], atol=1e-15)
+    assert np.allclose(w, _pairs([[0.5, 0.25], [0.25, 0.5]]), atol=1e-15)
 
 
 def test_w_matrix_sigma2_imaginary_off_diagonal():
     w = _kraus_contraction(make_one_pauli(2, 0.5).ops, _rho((0.6, 0.5, 0.6)))[1]
-    assert np.allclose(w, [[0.5, 0.25j], [-0.25j, 0.5]], atol=1e-15)
+    assert np.allclose(w, _pairs([[0.5, 0.25j], [-0.25j, 0.5]]), atol=1e-15)
 
 
 @pytest.mark.parametrize("axis", [1, 2, 3])
 def test_w_matrix_noiseless_endpoint(axis):
     w = _kraus_contraction(make_one_pauli(axis, 1.0).ops, _rho((0.3, -0.2, 0.5)))[1]
-    assert np.allclose(w, [[1, 0], [0, 0]], atol=1e-15)
+    assert np.allclose(w, _pairs([[1, 0], [0, 0]]), atol=1e-15)
 
 
 @settings(max_examples=60)
 @given(axes(), retentions(), bloch_vectors())
 def test_w_matrix_invariants(axis, x, a):
-    w = _kraus_contraction(make_one_pauli(axis, x).ops, _rho(a))[1]
+    w = matrix_of(_kraus_contraction(make_one_pauli(axis, x).ops, _rho(a))[1])
     assert hermiticity_residual(w) <= 1e-12
     assert np.trace(w).real == pytest.approx(1.0, abs=1e-13)
     assert hermitian_eigenvalues_2x2(w).lo >= -1e-12
