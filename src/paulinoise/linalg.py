@@ -45,8 +45,12 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     entries = () if numeric else raw.flat
     if any(isinstance(z, _BOOLS) or not isinstance(z, Number) for z in entries):
         raise ValidationError(f"{name} entries must be numbers, got {m!r}")
-    out = raw.astype(complex, copy=False)
-    if not np.all(np.isfinite(out)):
+    try:
+        out = raw.astype(complex, copy=False)
+        finite = np.all(np.isfinite(out))
+    except (OverflowError, ValueError):  # beyond the float range (as_real's inf), or sNaN
+        finite = False
+    if not finite:
         raise ValidationError(f"{name} contains non-finite entries")
     return out
 

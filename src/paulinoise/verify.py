@@ -12,9 +12,10 @@ RESIDUAL_ROUTES.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -33,6 +34,10 @@ from .channels import (
 # separates C > 0 from C ~ 0 in the sign counts: at x = 1/2, C = 0 exactly
 # and the routes only agree to rounding.
 RESIDUAL_LIMIT = 1e-10
+
+# Word masks and the PCG64 multiplier of the seeded state stream (random_blochs).
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULTIPLIER = 2549297995355413924 << 64 | 4865540595714422341
 
 # Per-axis reference inputs used by the verify claim check: component 0.5
 # along the channel axis, 0.6 on the two transverse axes.
@@ -86,12 +91,65 @@ class AxisVerification:
         )
 
 
-def random_bloch(rng: np.random.Generator) -> BlochVector:
-    """Uniform components in [-1, 1], resampled until norm_sq <= 1."""
+def _hasher(const: int, multiplier: int):
+    """numpy SeedSequence's hashmix on 32-bit words, its constant stepped by multiplier."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * multiplier & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_state(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64): the seed's
+    32-bit words, least significant first, hashed into a pool of four; words
+    beyond four (seeds >= 2^128) are then mixed into every pool word."""
+    words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+
+    def mix(dst: int, value: int) -> None:
+        mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(value)) & _MASK32
+        pool[dst] = mixed ^ mixed >> 16
+
+    for src, dst in itertools.permutations(range(4), 2):
+        mix(dst, pool[src])
+    for word, dst in itertools.product(words[4:], range(4)):
+        mix(dst, word)
+    output = _hasher(0x8B51F9DD, 0x58F38DED)
+    half = [output(pool[i % 4]) for i in range(8)]
+    return [half[i] | half[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _uniforms(seed: int) -> Iterator[float]:
+    """default_rng(seed).uniform(-1.0, 1.0) draws: PCG64 (XSL-RR 128/64)
+    seeded as numpy's pcg64_set_seed, each output u read as (u >> 11) 2^-53."""
+    s_hi, s_lo, i_hi, i_lo = _seed_state(seed)
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULTIPLIER + inc) & _MASK128
     while True:
-        v = BlochVector(*rng.uniform(-1.0, 1.0, size=3).tolist())
+        state = (state * _PCG_MULTIPLIER + inc) & _MASK128
+        rot = state >> 122
+        folded = (state >> 64 ^ state) & _MASK64
+        u = (folded >> rot | folded << (64 - rot)) & _MASK64
+        yield -1.0 + 2.0 * ((u >> 11) * 2.0**-53)
+
+
+def random_blochs(seed: int) -> Iterator[BlochVector]:
+    """Seeded random Bloch vectors (seed as check_seed returns it):
+    components uniform in [-1, 1), redrawn until norm_sq <= 1. This is
+    numpy's default_rng(seed).uniform(-1.0, 1.0, size=3) stream with that
+    rejection, bit for bit, in pure Python, so no command imports numpy's
+    random module and verify's output does not depend on its Generator."""
+    draws = _uniforms(seed)
+    while True:
+        v = BlochVector(next(draws), next(draws), next(draws))
         if v.norm_sq <= 1.0:
-            return v
+            yield v
 
 
 def axis_routes(
@@ -180,10 +238,10 @@ def run_verification(
     """
     grid = retention_grid(grid_steps)
     samples, seed = check_samples(samples), check_seed(seed)
-    rng = np.random.default_rng(seed)
+    stream = random_blochs(seed)
     axes = []
     for axis in PauliAxis:
-        states = [random_bloch(rng) for _ in range(samples)]
+        states = list(itertools.islice(stream, samples))
         states.append(REFERENCE_STATES[axis])
         axes.append(reduce_routes(axis, axis_routes(axis, grid, states)))
     return tuple(axes)

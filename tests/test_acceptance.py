@@ -7,6 +7,7 @@ command-line entry point.
 """
 
 import io
+import itertools
 import math
 from contextlib import redirect_stdout
 
@@ -28,7 +29,7 @@ from paulinoise.cli import (
 )
 from paulinoise.linalg import hermitian_eigenvalues_2x2
 from paulinoise.measures import _kraus_contraction, full_report
-from paulinoise.verify import random_bloch
+from paulinoise.verify import random_blochs
 
 GRID = 101
 SAMPLES = 100
@@ -139,8 +140,7 @@ def test_criterion_4_spot_values():
 
 
 def test_criterion_5_symmetries():
-    rng = np.random.default_rng(5)
-    states = [random_bloch(rng) for _ in range(20)]
+    states = list(itertools.islice(random_blochs(5), 20))
     grid = retention_grid(41)
 
     worst_reflection = 0.0

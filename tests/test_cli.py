@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +315,33 @@ def test_format_value_never_prints_negative_zero():
 def test_format_value_precision():
     assert format_value(math.pi, 4) == "3.142"
     assert format_value(1e-15, 12) == "1e-15"
+
+
+# Runs in a fresh interpreter: tests in this process import numpy.random.
+_NO_NUMPY_RANDOM = """
+import sys
+from paulinoise.cli import main
+
+for argv in (
+    ["verify", "--grid", "5", "--samples", "2"],
+    ["analyze", "--channel", "sigma2", "--bloch", "0.6,0.5,0.6", "--x", "0.3"],
+    ["sweep", "--channel", "sigma1", "--bloch", "0.5,0.6,0.6", "--steps", "11",
+     "--out", sys.argv[1]],
+):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+    if "numpy.random" in sys.modules:
+        sys.exit(f"{argv[0]} imported numpy.random")
+"""
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # importing numpy.random costs each process several MB (secrets, hashlib
+    # and OpenSSL, the bit generators); verify draws its states in pure Python
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_RANDOM, str(tmp_path / "s.csv")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

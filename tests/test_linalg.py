@@ -85,6 +85,9 @@ ENTRY_POINTS = pytest.mark.parametrize(
         ([["0.5", "x", "y"]], r"must be 2x2, got shape \(1, 3\)"),
         ([[0.5, 0.0], [0.0, np.nan]], "non-finite"),
         ([[np.inf, 0.0], [0.0, 0.5]], "non-finite"),
+        ([[10**400, 0], [0, 0]], "non-finite"),
+        ([[Fraction(10**400), 0], [0, 0]], "non-finite"),
+        ([[Decimal("sNaN"), 0], [0, 0]], "non-finite"),
         ([["0.5", 0], [0, "0.5"]], "entries must be numbers"),
         ([[b"1", 0], [0, 0]], "entries must be numbers"),
         ([[True, False], [False, False]], "entries must be numbers"),
@@ -95,6 +98,7 @@ ENTRY_POINTS = pytest.mark.parametrize(
         ([[np.nan, 0], [0, "x"]], "entries must be numbers"),
     ],
     ids=["3x3", "2x3", "1x1", "vector", "ragged", "text-1x3", "nan", "inf",
+         "int-beyond-float", "Fraction-beyond-float", "signalling-nan",
          "text", "bytes", "bools", "bool-and-floats", "bool-array", "text-entry",
          "dict-entry", "nan-and-text"],
 )
