@@ -78,11 +78,13 @@ def bloch_to_density(a) -> np.ndarray:
     return rho / 2.0
 
 
-def check_density(rho) -> np.ndarray:
-    """Validate Hermiticity (inside the eigenvalue kernel), unit trace and
-    positivity of a 2x2 state."""
+def _checked_density(rho):
+    """check_density's one pass: as_matrix, the eigenvalue kernel (with its
+    Hermiticity guard), then unit trace and positivity. Returns the matrix,
+    its row-major (re, im) pairs and its spectrum."""
     rho = as_matrix(rho, "density matrix")
-    spectrum = _eigenvalues(_pairs(rho.tolist()))
+    pairs = _pairs(rho.tolist())
+    spectrum = _eigenvalues(pairs)
     trace = complex(rho[0, 0] + rho[1, 1])
     if abs(trace - 1.0) > ROUNDING_TOL:
         raise ValidationError(f"density matrix trace {trace:.15g} != 1")
@@ -90,4 +92,10 @@ def check_density(rho) -> np.ndarray:
         raise ValidationError(
             f"density matrix has negative eigenvalue {spectrum.lo:.3e}"
         )
-    return rho
+    return rho, pairs, spectrum
+
+
+def check_density(rho) -> np.ndarray:
+    """Validate Hermiticity (inside the eigenvalue kernel), unit trace and
+    positivity of a 2x2 state."""
+    return _checked_density(rho)[0]

@@ -30,6 +30,7 @@ from .verify import (
 CSV_HEADER = "x,N,C,F_numeric,F_paper,H_out,lambda_hi,theta_hi,b1,b2,b3"
 DEFAULT_PRECISION = 12
 DEFAULT_STEPS = 201
+MAX_PRECISION = 2**31 - 1  # a format spec's precision is a C int
 
 
 def format_value(value: float, precision: int) -> str:
@@ -137,7 +138,10 @@ def _flagged(flag: str, convert, raw):
 
 
 def _check_precision(precision) -> int:
-    return as_count(precision, "precision", 1)
+    precision = as_count(precision, "precision", 1)
+    if precision > MAX_PRECISION:
+        raise ValidationError(f"precision must be <= {MAX_PRECISION}, got {precision}")
+    return precision
 
 
 def cmd_analyze(args) -> int:

@@ -57,6 +57,8 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def as_real(value) -> float:
     """value as a float if it is a real number, else TypeError: no text or bool."""
+    if type(value) is float:  # the common case, decided without the ABC check
+        return value
     if isinstance(value, _BOOLS) or not isinstance(value, Real):
         raise TypeError(f"not a real number: {value!r}")
     try:
@@ -121,7 +123,10 @@ def hermitian_eigenvalues_batch(m: np.ndarray) -> np.ndarray:
 
 
 def _check_unit_interval(lowest: float, highest: float) -> None:
-    """The spectrum floor and ceiling, with ROUNDING_TOL slack outside [0, 1]."""
+    """The spectrum floor and ceiling, with ROUNDING_TOL slack outside [0, 1];
+    NaN passes both comparisons, so it is rejected first."""
+    if lowest != lowest or highest != highest:
+        raise NumericError("spectrum value nan is not a number")
     if lowest < -ROUNDING_TOL:
         raise NumericError(f"spectrum value {lowest:.3e} below {-ROUNDING_TOL}")
     if highest > 1.0 + ROUNDING_TOL:
@@ -129,10 +134,16 @@ def _check_unit_interval(lowest: float, highest: float) -> None:
 
 
 def spectrum_entropy(spectrum: Iterable[float]) -> float:
-    """Shannon entropy in bits of a probability spectrum, with 0 log 0 = 0."""
+    """Shannon entropy in bits of a probability spectrum, with 0 log 0 = 0;
+    each value is a real number (as_real: no text or bool)."""
     total = 0.0
     for p in spectrum:
-        p = float(p)
+        try:
+            p = as_real(p)
+        except TypeError:
+            raise ValidationError(
+                f"spectrum values must be real numbers, got {p!r}"
+            ) from None
         _check_unit_interval(p, p)
         p = min(max(p, 0.0), 1.0)
         if p > 0.0:

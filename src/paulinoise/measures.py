@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform
-from .bloch import BlochVector, check_density
+from .bloch import BlochVector, _checked_density, check_density
 from .channels import KrausChannel
 from .linalg import (
     SpectrumPair,
@@ -102,13 +102,15 @@ def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
 def full_report(ch: KrausChannel, rho) -> ChannelReport:
     """Evaluate every measure at one operating point.
 
-    The state is validated once, by check_density, and the channel by its
-    constructor; the cores' spectral guards (Hermiticity, discriminant,
-    spectrum bounds) still run on everything derived from them.
+    The state is validated once, by check_density's pass, whose matrix,
+    pairs and spectrum give the contraction's input, bloch_in and h_in; the
+    channel is validated by its constructor. The cores' spectral guards
+    (Hermiticity, discriminant, spectrum bounds) still run on everything
+    derived from them.
     """
-    rho = check_density(rho)
-    bloch_in = _bloch_of(_pairs(rho.tolist()))
-    h_in = spectrum_entropy(_eigenvalues(_pairs(rho.tolist())))
+    rho, pairs, spectrum = _checked_density(rho)
+    bloch_in = _bloch_of(pairs)
+    h_in = spectrum_entropy(spectrum)
     ops = [op.tolist() for op in ch.ops]
     out, w, fidelity, bloch_out = _kraus_contraction(ops, rho.tolist())
     thetas = _eigenvalues(out)

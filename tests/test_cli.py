@@ -299,6 +299,23 @@ def test_analyze_rejects_nonpositive_precision(capsys):
     assert "--precision" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize("precision", [2**31, 3000000000, 10**30])
+def test_precision_beyond_a_format_spec_is_a_flag_error(capsys, command, precision):
+    args = [command, "--channel", "sigma1", "--bloch", "0.5,0.6,0.6",
+            "--precision", str(precision)]
+    args += ["--x", "0.3"] if command == "analyze" else ["--out", "unused.csv"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: --precision: precision must be <= 2147483647, got {precision}\n"
+    )
+
+
+def test_largest_precision_formats():
+    assert _check_precision(2**31 - 1) == 2**31 - 1
+    assert format_value(0.5, _check_precision(2**31 - 1)) == "0.5"
+
+
 @pytest.mark.parametrize("precision", [2.5, True, "x"])
 def test_precision_must_be_an_integer(precision):
     with pytest.raises(

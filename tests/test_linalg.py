@@ -196,6 +196,31 @@ def test_spectrum_entropy_rejects_value_above_one():
         spectrum_entropy((1.1,))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [["0.5", "0.5"], [b"1"], [True], [np.bool_(False), 1.0], [0.5, 0.5 + 0j],
+     [Decimal("0.5"), 0.5], [None]],
+)
+def test_spectrum_entropy_follows_the_number_rule(bad):
+    with pytest.raises(ValidationError, match="spectrum values must be real numbers"):
+        spectrum_entropy(bad)
+
+
+def test_spectrum_entropy_takes_any_real_number():
+    assert spectrum_entropy([Fraction(1, 2), np.float32(0.5)]) == 1.0
+    assert spectrum_entropy([1, np.int64(0)]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "bad", [(float("nan"), 1.0), (1.0, float("nan")), (float("nan"), float("nan"))]
+)
+def test_spectrum_nan_is_rejected(bad):
+    with pytest.raises(NumericError, match="spectrum value nan is not a number"):
+        spectrum_entropy(bad)
+    with pytest.raises(NumericError, match="spectrum value nan is not a number"):
+        spectrum_entropy_batch(np.array([(0.5, 0.5), bad]))
+
+
 # batched kernels: element-by-element agreement with the scalar kernels,
 # and the same checks on every entry of a stack
 

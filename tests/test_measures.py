@@ -21,7 +21,7 @@ from paulinoise import (
     hermitian_eigenvalues_2x2,
     make_one_pauli,
 )
-from paulinoise import bloch, closedform, linalg
+from paulinoise import bloch, closedform, linalg, measures
 from paulinoise.linalg import _pairs
 from paulinoise.measures import _kraus_contraction, report_batch
 
@@ -239,6 +239,23 @@ def test_full_report_validates_once(monkeypatch, axis):
     counted(closedform, "_domain")
     full_report(ch, rho)
     assert calls == {"as_matrix": 1, "_domain": 0}
+
+
+@pytest.mark.parametrize("axis", [1, 2, 3])
+def test_full_report_runs_the_eigenvalue_kernel_three_times(monkeypatch, axis):
+    # one spectrum each of the input state, the output state and W: the
+    # state's spectrum from check_density's pass also gives h_in
+    ch, rho = make_one_pauli(axis, 0.3), _rho((0.5, 0.6, 0.6))
+    expected_in, kernel, spectra = hermitian_eigenvalues_2x2(rho), linalg._eigenvalues, []
+
+    def counted(m):
+        spectra.append(kernel(m))
+        return spectra[-1]
+
+    for module in (linalg, bloch, measures):
+        monkeypatch.setattr(module, "_eigenvalues", counted)
+    rep = full_report(ch, rho)
+    assert spectra == [expected_in, rep.thetas, rep.lambdas]
 
 
 # full_report and report_batch run one contraction, so every quantity but
