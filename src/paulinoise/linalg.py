@@ -57,8 +57,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def as_real(value) -> float:
     """value as a float if it is a real number, else TypeError: no text or bool."""
-    if type(value) is float:  # the common case, decided without the ABC check
-        return value
     if isinstance(value, _BOOLS) or not isinstance(value, Real):
         raise TypeError(f"not a real number: {value!r}")
     try:
@@ -133,17 +131,25 @@ def _check_unit_interval(lowest: float, highest: float) -> None:
         raise NumericError(f"spectrum value {highest} exceeds 1")
 
 
+def _spectrum_value(p) -> float:
+    """A spectrum value as a float by the number rule (as_real)."""
+    try:
+        return as_real(p)
+    except TypeError:
+        raise ValidationError(f"spectrum values must be real numbers, got {p!r}") from None
+
+
 def spectrum_entropy(spectrum: Iterable[float]) -> float:
     """Shannon entropy in bits of a probability spectrum, with 0 log 0 = 0;
     each value is a real number (as_real: no text or bool)."""
+    return _entropy([_spectrum_value(p) for p in spectrum])
+
+
+def _entropy(spectrum: Iterable[float]) -> float:
+    """spectrum_entropy of Python floats, such as the SpectrumPairs that
+    _eigenvalues returns: the bounds, clamping and 0 log 0 = 0."""
     total = 0.0
     for p in spectrum:
-        try:
-            p = as_real(p)
-        except TypeError:
-            raise ValidationError(
-                f"spectrum values must be real numbers, got {p!r}"
-            ) from None
         _check_unit_interval(p, p)
         p = min(max(p, 0.0), 1.0)
         if p > 0.0:
@@ -153,8 +159,13 @@ def spectrum_entropy(spectrum: Iterable[float]) -> float:
 
 def spectrum_entropy_batch(spectra) -> np.ndarray:
     """spectrum_entropy along the last axis of an array of spectra, with
-    the same bounds, clamping and 0 log 0 = 0."""
-    p = np.asarray(spectra, dtype=float)
+    the same number rule, bounds, clamping and 0 log 0 = 0; an ndarray of
+    integer or float dtype passes whole."""
+    if isinstance(spectra, np.ndarray) and spectra.dtype.kind in "iuf":
+        p = spectra.astype(float, copy=False)
+    else:
+        raw = np.asarray(spectra, dtype=object)
+        p = np.array([_spectrum_value(z) for z in raw.flat], dtype=float).reshape(raw.shape)
     _check_unit_interval(float(p.min(initial=np.inf)), float(p.max(initial=-np.inf)))
     p = np.clip(p, 0.0, 1.0)
     positive = p > 0.0

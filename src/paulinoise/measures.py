@@ -30,10 +30,10 @@ from .channels import KrausChannel
 from .linalg import (
     SpectrumPair,
     _eigenvalues,
+    _entropy,
     _pairs,
     _vdot,
     hermitian_eigenvalues_batch,
-    spectrum_entropy,
     spectrum_entropy_batch,
 )
 
@@ -64,10 +64,11 @@ def _bloch_of(m) -> BlochVector:
 def _kraus_contraction(ops, rho):
     """The output state and W as their four row-major (re, im) pairs, the
     entangled fidelity and bloch_out, from 2x2 nested entries of the Kraus
-    operators and the state: Python complex numbers (full_report) or complex
-    arrays that broadcast together (report_batch). _vdot spells out every
-    complex product, so both give the same bits, whatever the BLAS kernel."""
-    ops, rho = [_pairs(op) for op in ops], _pairs(rho)
+    operators and the state's four row-major (re, im) pairs: Python numbers
+    (full_report) or arrays that broadcast together (report_batch). _vdot
+    spells out every complex product, so both give the same bits, whatever
+    the BLAS kernel."""
+    ops = [_pairs(op) for op in ops]
     # left_i = A_i rho: entry (r, c) takes row r of A_i against column c of
     # rho, passed conjugated since _vdot conjugates its first argument
     conj_columns = [[(re, -im) for re, im in rho[c::2]] for c in (0, 1)]
@@ -102,21 +103,21 @@ def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
 def full_report(ch: KrausChannel, rho) -> ChannelReport:
     """Evaluate every measure at one operating point.
 
-    The state is validated once, by check_density's pass, whose matrix,
-    pairs and spectrum give the contraction's input, bloch_in and h_in; the
-    channel is validated by its constructor. The cores' spectral guards
-    (Hermiticity, discriminant, spectrum bounds) still run on everything
-    derived from them.
+    The state is validated once, by check_density's pass, whose pairs give
+    the contraction's input and bloch_in and whose spectrum gives h_in; the
+    channel is validated by its constructor. Everything derived from them
+    goes straight to the cores, whose spectral guards (Hermiticity,
+    discriminant, spectrum bounds) still run.
     """
-    rho, pairs, spectrum = _checked_density(rho)
+    _, pairs, spectrum = _checked_density(rho)
     bloch_in = _bloch_of(pairs)
-    h_in = spectrum_entropy(spectrum)
+    h_in = _entropy(spectrum)
     ops = [op.tolist() for op in ch.ops]
-    out, w, fidelity, bloch_out = _kraus_contraction(ops, rho.tolist())
+    out, w, fidelity, bloch_out = _kraus_contraction(ops, pairs)
     thetas = _eigenvalues(out)
-    h_out = spectrum_entropy(thetas)
+    h_out = _entropy(thetas)
     lambdas = _eigenvalues(w)
-    noise_n = spectrum_entropy(lambdas)
+    noise_n = _entropy(lambdas)
     return ChannelReport(
         x=ch.x,
         bloch_in=bloch_in,
@@ -147,7 +148,8 @@ def report_batch(kraus: np.ndarray, rhos: np.ndarray) -> dict[str, np.ndarray]:
     spectra carry a trailing (hi, lo) axis."""
     # entries ops[i][a][b] of shape (G, 1) and rho[a][b] of shape (1, S)
     out, w, fidelity, bloch_out = _kraus_contraction(
-        np.moveaxis(kraus, 0, -1)[..., None], np.moveaxis(rhos, 0, -1)[..., None, :]
+        np.moveaxis(kraus, 0, -1)[..., None],
+        _pairs(np.moveaxis(rhos, 0, -1)[..., None, :]),
     )
     thetas = _eigenvalues(out)
     lambdas = _eigenvalues(w)

@@ -27,7 +27,7 @@ from paulinoise.cli import (
     sweep_reports,
     write_sweep_csv,
 )
-from paulinoise.linalg import hermitian_eigenvalues_2x2
+from paulinoise.linalg import _pairs, hermitian_eigenvalues_2x2
 from paulinoise.measures import _kraus_contraction, full_report
 from paulinoise.verify import random_blochs
 
@@ -94,7 +94,7 @@ def test_criterion_3_completeness_and_state_validity(verification):
     for axis, bloch in REFERENCE_STATES.items():
         rho = bloch_to_density(bloch)
         for x in retention_grid(GRID):
-            out = matrix_of(_kraus_contraction(make_one_pauli(axis, x).ops, rho)[0])
+            out = matrix_of(_kraus_contraction(make_one_pauli(axis, x).ops, _pairs(rho))[0])
             worst_herm = max(worst_herm, hermiticity_residual(out))
             worst_trace = max(worst_trace, abs(np.trace(out).real - 1.0))
             lowest_eigenvalue = min(

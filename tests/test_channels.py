@@ -152,7 +152,7 @@ def test_completeness_of_constructed_channel(axis, x):
 
 def test_apply_kills_transverse_components_at_half():
     ops = make_one_pauli(1, 0.5).ops
-    b = _kraus_contraction(ops, bloch_to_density((0.5, 0.6, 0.6)))[3]
+    b = _kraus_contraction(ops, _pairs(bloch_to_density((0.5, 0.6, 0.6))))[3]
     assert b.a1 == pytest.approx(0.5, abs=1e-15)
     assert b.a2 == pytest.approx(0.0, abs=1e-15)
     assert b.a3 == pytest.approx(0.0, abs=1e-15)
@@ -161,13 +161,13 @@ def test_apply_kills_transverse_components_at_half():
 @given(axes(), bloch_vectors())
 def test_apply_is_identity_at_x_one(axis, a):
     rho = bloch_to_density(a)
-    out = _kraus_contraction(make_one_pauli(axis, 1.0).ops, rho)[0]
+    out = _kraus_contraction(make_one_pauli(axis, 1.0).ops, _pairs(rho))[0]
     assert np.allclose(out, _pairs(rho), atol=1e-15)
 
 
 def test_apply_sigma3_flips_transverse_sign():
     ops = make_one_pauli(3, 0.2).ops
-    b = _kraus_contraction(ops, bloch_to_density((0.6, 0.6, 0.5)))[3]
+    b = _kraus_contraction(ops, _pairs(bloch_to_density((0.6, 0.6, 0.5))))[3]
     assert b.a1 == pytest.approx(-0.36, abs=1e-15)
     assert b.a2 == pytest.approx(-0.36, abs=1e-15)
     assert b.a3 == pytest.approx(0.5, abs=1e-15)
@@ -176,7 +176,7 @@ def test_apply_sigma3_flips_transverse_sign():
 @settings(max_examples=60)
 @given(axes(), retentions(), bloch_vectors())
 def test_axis_component_preserved_transverse_scaled(axis, x, a):
-    b = _kraus_contraction(make_one_pauli(axis, x).ops, bloch_to_density(a))[3]
+    b = _kraus_contraction(make_one_pauli(axis, x).ops, _pairs(bloch_to_density(a)))[3]
     scale = 2 * x - 1
     for k in range(3):
         expected = a[k] if k == axis - 1 else scale * a[k]
@@ -188,10 +188,10 @@ def test_axis_component_preserved_transverse_scaled(axis, x, a):
 def test_output_spectra_agree_at_x_and_one_minus_x(axis, x, a):
     rho = bloch_to_density(a)
     direct = hermitian_eigenvalues_2x2(
-        matrix_of(_kraus_contraction(make_one_pauli(axis, x).ops, rho)[0])
+        matrix_of(_kraus_contraction(make_one_pauli(axis, x).ops, _pairs(rho))[0])
     )
     mirrored = hermitian_eigenvalues_2x2(
-        matrix_of(_kraus_contraction(make_one_pauli(axis, 1 - x).ops, rho)[0])
+        matrix_of(_kraus_contraction(make_one_pauli(axis, 1 - x).ops, _pairs(rho))[0])
     )
     assert direct.hi == pytest.approx(mirrored.hi, abs=1e-12)
     assert direct.lo == pytest.approx(mirrored.lo, abs=1e-12)
@@ -200,13 +200,13 @@ def test_output_spectra_agree_at_x_and_one_minus_x(axis, x, a):
 @settings(max_examples=60)
 @given(axes(), retentions(), bloch_vectors())
 def test_output_positivity(axis, x, a):
-    out = _kraus_contraction(make_one_pauli(axis, x).ops, bloch_to_density(a))[0]
+    out = _kraus_contraction(make_one_pauli(axis, x).ops, _pairs(bloch_to_density(a)))[0]
     assert hermitian_eigenvalues_2x2(matrix_of(out)).lo >= -1e-12
 
 
 @given(axes(), bloch_vectors())
 def test_channel_at_half_is_a_projection(axis, a):
     ch = make_one_pauli(axis, 0.5)
-    once = _kraus_contraction(ch.ops, bloch_to_density(a))[0]
-    twice = _kraus_contraction(ch.ops, matrix_of(once))[0]
+    once = _kraus_contraction(ch.ops, _pairs(bloch_to_density(a)))[0]
+    twice = _kraus_contraction(ch.ops, once)[0]
     assert np.allclose(twice, once, atol=1e-13)

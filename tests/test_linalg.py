@@ -201,14 +201,25 @@ def test_spectrum_entropy_rejects_value_above_one():
     [["0.5", "0.5"], [b"1"], [True], [np.bool_(False), 1.0], [0.5, 0.5 + 0j],
      [Decimal("0.5"), 0.5], [None]],
 )
-def test_spectrum_entropy_follows_the_number_rule(bad):
+@pytest.mark.parametrize("kernel", [spectrum_entropy, spectrum_entropy_batch])
+def test_spectrum_entropy_follows_the_number_rule(kernel, bad):
     with pytest.raises(ValidationError, match="spectrum values must be real numbers"):
-        spectrum_entropy(bad)
+        kernel(bad)
 
 
-def test_spectrum_entropy_takes_any_real_number():
-    assert spectrum_entropy([Fraction(1, 2), np.float32(0.5)]) == 1.0
-    assert spectrum_entropy([1, np.int64(0)]) == 0.0
+@pytest.mark.parametrize(
+    "bad", [np.array([True, False]), np.array([0.5 + 0j, 0.5]), np.array(["0.5", "0.5"])]
+)
+def test_batched_entropy_rejects_arrays_of_other_dtypes(bad):
+    with pytest.raises(ValidationError, match="spectrum values must be real numbers"):
+        spectrum_entropy_batch(bad)
+
+
+@pytest.mark.parametrize("kernel", [spectrum_entropy, spectrum_entropy_batch])
+def test_spectrum_entropy_takes_any_real_number(kernel):
+    assert kernel([Fraction(1, 2), np.float32(0.5)]) == 1.0
+    assert kernel([1, np.int64(0)]) == 0.0
+    assert kernel(np.array([1, 0])) == 0.0
 
 
 @pytest.mark.parametrize(
