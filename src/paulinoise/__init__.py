@@ -39,7 +39,7 @@ from .measures import (
     full_report,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "BlochVector",

@@ -20,6 +20,8 @@ SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMAS = (SIGMA1, SIGMA2, SIGMA3)
+for _pauli in (IDENTITY, *SIGMAS):  # read-only: a write raises ValueError
+    _pauli.setflags(write=False)
 
 
 class BlochVector(NamedTuple):

@@ -108,6 +108,8 @@ class KrausChannel:
         keep = sqrt(x) * IDENTITY
         prefactor = -1j if axis is PauliAxis.SIGMA2 else 1.0
         flip = prefactor * sqrt(1.0 - x) * SIGMAS[axis - 1]
+        for op in (keep, flip):  # read-only, as the channel's (axis, x) are
+            op.setflags(write=False)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "ops", (keep, flip))

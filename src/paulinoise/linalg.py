@@ -5,8 +5,8 @@ Hermitian matrix given as its four row-major (re, im) pairs: Python floats
 on the scalar routes, arrays that broadcast together on the batch routes.
 Its guards and the split (t +- sqrt(r))/2 run unchanged on both. Its one
 complex product, Re(m01 m10), is spelled out, as are _vdot's, so no
-spectrum depends on the BLAS kernel. The entropy kernel comes twice: a
-scalar form (math.log2, Python floats) and a batch form over arrays.
+spectrum depends on the BLAS kernel or numpy's SIMD dispatch. The entropy
+kernel comes twice: math.log2 on Python floats, np.log2 on arrays.
 """
 
 from __future__ import annotations
@@ -112,12 +112,6 @@ def _eigenvalues(m):
     gap = r00 - r11
     disc = gap * gap + 4.0 * (r01 * r10 - i01 * i10)
     return split_spectrum(r00 + r11, disc, "eigenvalue discriminant")
-
-
-def hermitian_eigenvalues_batch(m: np.ndarray) -> np.ndarray:
-    """_eigenvalues over a complex stack of shape (..., 2, 2) that the
-    package built, so without input checks; spectra (..., 2), descending."""
-    return _eigenvalues(_pairs(np.moveaxis(m, (-2, -1), (0, 1))))
 
 
 def _check_unit_interval(lowest: float, highest: float) -> None:

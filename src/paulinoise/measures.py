@@ -10,12 +10,11 @@ environment_entropy_oracle recomputes N from first principles through the
 system-environment dilation. It shares no intermediate quantities with W,
 which makes the pair a genuine two-route consistency check.
 
-report_batch and environment_entropy_oracle_batch evaluate the same two
-routes over a grid of channels and a set of states at once. Both Kraus
-kernels call _kraus_contraction and pass its (re, im) pairs to the one
-eigenvalue kernel, linalg._eigenvalues, so they differ only in their
-entropies (math.log2 against np.log2), and no result depends on the BLAS
-kernel.
+report_batch and environment_entropy_oracle_batch evaluate both routes over
+a grid of channels and a set of states at once. Every complex product here
+is linalg._vdot's arithmetic on (re, im) pairs and every spectrum comes
+from linalg._eigenvalues, so none depends on the BLAS kernel or on numpy's
+SIMD dispatch; only the batch entropies' np.log2 does.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .linalg import (
     _entropy,
     _pairs,
     _vdot,
-    hermitian_eigenvalues_batch,
     spectrum_entropy_batch,
 )
 
@@ -95,9 +93,8 @@ def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
     and the entropy of the resulting environment state is returned. Must
     agree with full_report's noise_n for every valid input.
     """
-    rho = check_density(rho)
-    kraus = np.array([ch.ops])
-    return float(environment_entropy_oracle_batch(kraus, rho[None])[0, 0])
+    rhos = check_density(rho)[None]
+    return float(environment_entropy_oracle_batch(np.array([ch.ops]), rhos)[0, 0])
 
 
 def full_report(ch: KrausChannel, rho) -> ChannelReport:
@@ -165,32 +162,29 @@ def report_batch(kraus: np.ndarray, rhos: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _eigensystem_batch(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigensystem_batch(rhos: np.ndarray):
     """Closed-form spectral decomposition of a stack of 2x2 Hermitian
-    matrices: spectra of shape (S, 2) and eigenvectors of shape (S, 2, 2)
-    indexed [state, hi/lo, component].
+    matrices: spectra of shape (S, 2) and the eigenvectors (v_hi, v_lo),
+    each two (re, im) component pairs of arrays of shape (S,).
 
     The top eigenvector comes from the better-conditioned of the two
     analytic expressions; the second is its exact orthogonal complement,
     so the pair stays orthonormal even for nearly degenerate spectra.
-    Within a hair of exact degeneracy any orthonormal basis diagonalizes
-    the matrix to working precision, so the standard basis is used.
+    Within a hair of exact degeneracy (a gap of 1e-13 or less) the standard
+    basis, ordered by the diagonal, rebuilds the matrix to half the gap.
     """
-    vals = hermitian_eigenvalues_batch(rhos)
-    hi = vals[:, 0]
-    off = rhos[:, 0, 1]
-    v1 = np.stack((off, hi - rhos[:, 0, 0].real), axis=-1)
-    v2 = np.stack((hi - rhos[:, 1, 1].real, off.conj()), axis=-1)
-    n1 = (v1.conj() * v1).real.sum(axis=-1)
-    n2 = (v2.conj() * v2).real.sum(axis=-1)
+    (r00, _), (r01, i01), _, (r11, _) = rho = _pairs(np.moveaxis(rhos, 0, -1))
+    vals = _eigenvalues(rho)
+    hi, lo = vals.T
+    v1 = r01, i01, hi - r00, 0.0  # two eigenvectors of hi as (re, im, re, im)
+    v2 = hi - r11, 0.0, r01, -i01
+    n1, n2 = (sum(c * c for c in v) for v in (v1, v2))
     first = n1 >= n2
-    degenerate = vals[:, 0] - vals[:, 1] <= 1e-13
+    degenerate = hi - lo <= 1e-13
     norm = np.sqrt(np.where(degenerate, 1.0, np.where(first, n1, n2)))
-    v_hi = np.where(first[:, None], v1, v2) / norm[:, None]
-    v_lo = np.stack((-v_hi[:, 1].conj(), v_hi[:, 0].conj()), axis=-1)
-    vectors = np.stack((v_hi, v_lo), axis=1)
-    vectors[degenerate] = np.eye(2)
-    return vals, vectors
+    ar, ai, br, bi = (np.where(degenerate, e, np.where(first, c1, c2) / norm)
+                      for e, c1, c2 in zip((r00 >= r11, 0.0, r00 < r11, 0.0), v1, v2))
+    return vals, (((ar, ai), (br, bi)), ((-br, bi), (ar, -ai)))
 
 
 def environment_entropy_oracle_batch(kraus: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -199,8 +193,15 @@ def environment_entropy_oracle_batch(kraus: np.ndarray, rhos: np.ndarray) -> np.
     V v = sum_e (A_e v) x |e>, the system is traced out, and the entropy of
     the environment state is returned with shape (G, S)."""
     probs, vectors = _eigensystem_batch(rhos)
-    weights = np.where(probs > 0.0, probs, 0.0)  # clamped rounding zeros drop out
-    # (V v_p)[system a, env e]
-    images = np.einsum("geab,spb->gspae", kraus, vectors, optimize=True)
-    env = np.einsum("sp,gspae,gspaf->gsef", weights, images, images.conj())
-    return spectrum_entropy_batch(hermitian_eigenvalues_batch(env))
+    # the weight p of each image below, clamped so rounding zeros drop out
+    weights = np.repeat(np.where(probs > 0.0, probs, 0.0).T, 2, axis=0)
+    # entries A_e[a][b] of shape (G, 1) against eigenvector components of shape (S,)
+    ops = [_pairs(op) for op in np.moveaxis(kraus, 0, -1)[..., None]]
+    # images[e] = (A_e v_p)_a over (p, a): row a of A_e against v_p, passed
+    # conjugated since _vdot conjugates its first argument
+    conj_vectors = [[(re, -im) for re, im in v] for v in vectors]
+    images = [[_vdot(v, op[a:a + 2]) for v in conj_vectors for a in (0, 2)] for op in ops]
+    weighted = [[(w * re, w * im) for w, (re, im) in zip(weights, img)] for img in images]
+    # env_ef = sum_p p <A_f v_p|A_e v_p>: the system traced out
+    env = [_vdot(images[f], weighted[e]) for e in (0, 1) for f in (0, 1)]
+    return spectrum_entropy_batch(_eigenvalues(env))

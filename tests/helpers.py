@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from paulinoise import BlochVector, PauliAxis
-from paulinoise.linalg import as_matrix
+from paulinoise.linalg import _eigenvalues, _pairs, as_matrix
 
 _component = st.floats(
     min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False
@@ -68,6 +68,11 @@ def hermiticity_residual(m) -> float:
     """Largest absolute entry of m - m^dagger; 0 for Hermitian input."""
     m = as_matrix(m)
     return float(np.abs(m - m.conj().T).max())
+
+
+def hermitian_eigenvalues_batch(m) -> np.ndarray:
+    """The eigenvalue kernel over a complex stack (..., 2, 2): spectra (..., 2)."""
+    return _eigenvalues(_pairs(np.moveaxis(m, (-2, -1), (0, 1))))
 
 
 def matrix_of(pairs) -> np.ndarray:

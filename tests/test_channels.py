@@ -14,9 +14,10 @@ from paulinoise import (
     closed_point,
     completeness_residual,
     fidelity_paper_closed,
+    full_report,
     make_one_pauli,
 )
-from paulinoise.bloch import IDENTITY, SIGMA1
+from paulinoise.bloch import IDENTITY, SIGMA1, SIGMA2, SIGMA3
 from paulinoise.channels import as_axis
 from paulinoise.linalg import _pairs, hermitian_eigenvalues_2x2
 from paulinoise.measures import _kraus_contraction
@@ -143,6 +144,20 @@ def test_channel_is_a_value_of_axis_and_rate():
     assert ch != KrausChannel(1, 0.25)
     assert ch != KrausChannel(3, 0.5)
     assert len({ch, make_one_pauli(PauliAxis.SIGMA1, 0.5)}) == 1
+
+
+def test_kraus_operators_and_pauli_constants_are_read_only():
+    ch = KrausChannel(1, 0.75)
+    rho = bloch_to_density((0.5, 0.6, 0.6))
+    before = full_report(ch, rho)
+    with pytest.raises(ValueError, match="read-only"):
+        ch.ops[1][0, 1] = 0.9
+    for constant in (IDENTITY, SIGMA1, SIGMA2, SIGMA3):
+        with pytest.raises(ValueError, match="read-only"):
+            constant[0, 0] = 3
+    assert full_report(ch, rho) == before
+    assert completeness_residual(ch) <= 1e-15
+    assert (bloch_to_density((0, 0, 0)) == IDENTITY / 2).all()
 
 
 @given(axes(), retentions())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import hermiticity_residual
+from helpers import hermitian_eigenvalues_batch, hermiticity_residual
 from paulinoise import (
     KrausChannel,
     NumericError,
@@ -23,7 +23,6 @@ from paulinoise.bloch import IDENTITY, SIGMA1, SIGMA2, SIGMA3
 from paulinoise.linalg import (
     _eigenvalues,
     _pairs,
-    hermitian_eigenvalues_batch,
     spectrum_entropy_batch,
 )
 

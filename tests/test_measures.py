@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import asdict
 
 import numpy as np
@@ -24,6 +25,7 @@ from paulinoise import (
 from paulinoise import bloch, closedform, linalg, measures
 from paulinoise.linalg import _pairs
 from paulinoise.measures import _kraus_contraction, report_batch
+from paulinoise.verify import random_blochs
 
 # binary entropy of (1 + sqrt(0.97))/2, evaluated with 50-digit arithmetic;
 # the input entropy of every reference state used below
@@ -175,6 +177,36 @@ def test_oracle_survives_nearly_degenerate_input():
     assert environment_entropy_oracle(ch, rho) == pytest.approx(
         full_report(ch, rho).noise_n, abs=1e-10
     )
+
+
+def _eigensystem_inputs():
+    """a = 0; |a| around the 1e-13 degeneracy cut on and off the axes;
+    components of 1e-12 and 1e-8; pure states on and off each axis; and
+    seeded states."""
+    states = [(0.0, 0.0, 0.0)]
+    directions = np.array([*np.eye(3), *-np.eye(3), np.ones(3) / np.sqrt(3), (0.6, -0.8, 0)])
+    states += [r * d for r in (1e-14, 1e-13, 2e-13) for d in directions]
+    states += itertools.product((0.0, 1e-12, -1e-12, 1e-8, -1e-8), repeat=3)
+    states += [*directions, (0.48, 0.6, -0.64), (0.0, 0.6, 0.8)]
+    states += itertools.islice(random_blochs(5), 100)
+    return np.array([_rho(a) for a in states])
+
+
+def test_eigensystem_is_orthonormal_and_rebuilds_the_state():
+    rhos = _eigensystem_inputs()
+    vals, vectors = measures._eigensystem_batch(rhos)
+    # v[s, p, b]: component b of the eigenvector of vals[s, p]
+    v = np.moveaxis(np.array([[re + 1j * im for re, im in vec] for vec in vectors]), -1, 0)
+    gram = np.einsum("spb,sqb->spq", v.conj(), v)
+    assert np.abs(gram - np.eye(2)).max() <= 1e-15
+    rebuilt = np.einsum("sp,spa,spb->sab", vals, v, v.conj())
+    gap = vals[:, 0] - vals[:, 1]
+    degenerate = gap <= 1e-13
+    # inside the cut the standard basis stands in, off by at most half the gap
+    tol = np.where(degenerate, gap / 2, 0.0) + 1e-15
+    assert (np.abs(rebuilt - rhos).max(axis=(1, 2)) <= tol).all()
+    basis = np.abs(v[degenerate])
+    assert degenerate.sum() > 1 and ((basis == 0.0) | (basis == 1.0)).all()
 
 
 def test_full_report_noiseless_endpoint():

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import hermitian_eigenvalues_batch
 from paulinoise import (
     NumericError,
     ValidationError,
@@ -23,11 +24,7 @@ from paulinoise import (
     hermitian_eigenvalues_2x2,
     spectrum_entropy,
 )
-from paulinoise.linalg import (
-    hermitian_eigenvalues_batch,
-    spectrum_entropy_batch,
-    split_spectrum,
-)
+from paulinoise.linalg import spectrum_entropy_batch, split_spectrum
 
 INSIDE = 0.5e-12
 OUTSIDE = 2e-12
