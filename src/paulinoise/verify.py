@@ -2,12 +2,12 @@
 dilation oracle.
 
 For each channel axis, all three routes are evaluated at once over (G, S)
-arrays of G grid retention rates by S input states: the Kraus route from
-the stacked Kraus operators and density matrices, the closed forms from x
-and the Bloch components only, and the oracle from its own dilation of
-each state. The report then reduces the route arrays: every residual is
-the largest absolute difference of one pair of arrays named in
-RESIDUAL_ROUTES.
+arrays of G grid retention rates by S input states, seeded quasi-random
+Bloch vectors and one reference input: the Kraus route from the stacked
+Kraus operators and density matrices, the closed forms from x and the Bloch
+components only, and the oracle from its own dilation of each state. The
+report then reduces the route arrays: every residual is the largest
+absolute difference of one pair of arrays named in RESIDUAL_ROUTES.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ from .channels import (
 # and the routes only agree to rounding.
 RESIDUAL_LIMIT = 1e-10
 
-# Word masks and the PCG64 multiplier of the seeded state stream (random_blochs).
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULTIPLIER = 2549297995355413924 << 64 | 4865540595714422341
+# random_blochs in 64-bit fixed point: Roberts' R3 steps floor(phi^-k 2^64),
+# k = 1, 2, 3, phi^4 = phi + 1, and the seed multiplier floor(2^64 / golden ratio).
+_R3_STEPS = (0xD1B54A32D192ED03, 0xABC98388FB8FAC02, 0x8CB92BA72F3D8DD7)
+_SEED_MULTIPLIER = 0x9E3779B97F4A7C15
 
 # Per-axis reference inputs used by the verify claim check: component 0.5
 # along the channel axis, 0.6 on the two transverse axes.
@@ -91,63 +92,20 @@ class AxisVerification:
         )
 
 
-def _hasher(const: int, multiplier: int):
-    """numpy SeedSequence's hashmix on 32-bit words, its constant stepped by multiplier."""
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * multiplier & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _seed_state(seed: int) -> list[int]:
-    """numpy's SeedSequence(seed).generate_state(4, np.uint64): the seed's
-    32-bit words, least significant first, hashed into a pool of four; words
-    beyond four (seeds >= 2^128) are then mixed into every pool word."""
-    words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-
-    def mix(dst: int, value: int) -> None:
-        mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(value)) & _MASK32
-        pool[dst] = mixed ^ mixed >> 16
-
-    for src, dst in itertools.permutations(range(4), 2):
-        mix(dst, pool[src])
-    for word, dst in itertools.product(words[4:], range(4)):
-        mix(dst, word)
-    output = _hasher(0x8B51F9DD, 0x58F38DED)
-    half = [output(pool[i % 4]) for i in range(8)]
-    return [half[i] | half[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-def _uniforms(seed: int) -> Iterator[float]:
-    """default_rng(seed).uniform(-1.0, 1.0) draws: PCG64 (XSL-RR 128/64)
-    seeded as numpy's pcg64_set_seed, each output u read as (u >> 11) 2^-53."""
-    s_hi, s_lo, i_hi, i_lo = _seed_state(seed)
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULTIPLIER + inc) & _MASK128
-    while True:
-        state = (state * _PCG_MULTIPLIER + inc) & _MASK128
-        rot = state >> 122
-        folded = (state >> 64 ^ state) & _MASK64
-        u = (folded >> rot | folded << (64 - rot)) & _MASK64
-        yield -1.0 + 2.0 * ((u >> 11) * 2.0**-53)
-
-
 def random_blochs(seed: int) -> Iterator[BlochVector]:
-    """Seeded random Bloch vectors (seed as check_seed returns it):
-    components uniform in [-1, 1), redrawn until norm_sq <= 1. This is
-    numpy's default_rng(seed).uniform(-1.0, 1.0, size=3) stream with that
-    rejection, bit for bit, in pure Python, so no command imports numpy's
-    random module and verify's output does not depend on its Generator."""
-    draws = _uniforms(seed)
-    while True:
-        v = BlochVector(next(draws), next(draws), next(draws))
+    """Seeded quasi-random Bloch vectors (seed as check_seed returns it):
+    Roberts' R3 point n >= 1 has components -1 + 2 (u_k >> 11) 2^-53 in
+    [-1, 1), u_k = s + n _R3_STEPS[k] mod 2^64, and is skipped if norm_sq > 1.
+    The start s is sum_i w_i M^(i+1) mod 2^64 over the seed's 64-bit words w_i,
+    least significant first, M = _SEED_MULTIPLIER: one-to-one on seeds below
+    2^64 (M is odd), moved by every word of a larger seed. Integer arithmetic
+    only: any seed works, and no command imports numpy's random module."""
+    start = 0
+    for shift in range(seed.bit_length() // 64 * 64, -1, -64):
+        start = (start + (seed >> shift) % 2**64) * _SEED_MULTIPLIER % 2**64
+    for n in itertools.count(1):
+        u = [(start + n * step) % 2**64 for step in _R3_STEPS]
+        v = BlochVector(*(-1.0 + 2.0 * ((uk >> 11) * 2.0**-53) for uk in u))
         if v.norm_sq <= 1.0:
             yield v
 
@@ -233,7 +191,7 @@ def run_verification(
     record per axis, in PauliAxis order.
 
     For each axis, every grid retention rate is evaluated on `samples`
-    seeded random Bloch vectors plus the axis's reference input. The
+    seeded quasi-random Bloch vectors plus the axis's reference input. The
     arrays of one axis are reduced before the next axis's states are drawn.
     """
     grid = retention_grid(grid_steps)
