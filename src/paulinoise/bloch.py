@@ -15,14 +15,6 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import ROUNDING_TOL, _eigenvalues, _pairs, as_matrix, as_real
 
-IDENTITY = np.eye(2, dtype=complex)
-SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMAS = (SIGMA1, SIGMA2, SIGMA3)
-for _pauli in (IDENTITY, *SIGMAS):  # read-only: a write raises ValueError
-    _pauli.setflags(write=False)
-
 
 class BlochVector(NamedTuple):
     a1: float
@@ -72,12 +64,12 @@ def parse_bloch(text: str) -> BlochVector:
 
 
 def bloch_to_density(a) -> np.ndarray:
-    """Density matrix (I + a . sigma) / 2 for a Bloch vector a."""
-    a = check_bloch(a)
-    rho = IDENTITY.copy()
-    for component, pauli in zip(a, SIGMAS):
-        rho += component * pauli
-    return rho / 2.0
+    """(I + a . sigma) / 2 = [[1 + a3, a1 - i a2], [a1 + i a2, 1 - a3]] / 2 for a
+    Bloch vector a; each + 0.0 makes a zero +0.0, as the Pauli sum does."""
+    a1, a2, a3 = check_bloch(a)
+    re = a1 + 0.0
+    return np.array([[1.0 + a3, complex(re, 0.0 - a2)],
+                     [complex(re, a2 + 0.0), 1.0 - a3]]) / 2.0
 
 
 def _checked_density(rho):

@@ -18,11 +18,8 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from math import hypot, isfinite, sqrt
 
-import numpy as np
-
-from .bloch import IDENTITY, SIGMAS
 from .errors import ValidationError
-from .linalg import _BOOLS, _pairs, _vdot, as_real
+from .linalg import _BOOLS, _vdot, as_real
 
 COMPLETENESS_TOL = 1e-13
 
@@ -40,6 +37,10 @@ class PauliAxis(IntEnum):
 
 
 _AXIS_TOKENS = {axis.token: axis for axis in PauliAxis}
+
+# The real row-major entries of I and, by axis, of sigma1, -i sigma2 and sigma3.
+_KEEP = (1.0, 0.0, 0.0, 1.0)
+_FLIPS = ((0.0, 1.0, 1.0, 0.0), (0.0, -1.0, 1.0, 0.0), (1.0, 0.0, 0.0, -1.0))
 
 
 def as_axis(value) -> PauliAxis:
@@ -94,25 +95,22 @@ def retention_grid(steps) -> list[float]:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """The one-Pauli channel of an axis and a retention rate x. Its Kraus
-    operators ops = (A1, A2) are derived once from (axis, x); their order
-    indexes the exchange matrix. Channels compare and hash by (axis, x)."""
+    """The one-Pauli channel of an axis and a retention rate x, compared and
+    hashed by (axis, x). Its Kraus operators ops = (A1, A2), each four row-major
+    (re, im) pairs, come once from (axis, x); their order indexes the exchange matrix."""
 
     axis: PauliAxis
     x: float
-    ops: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    ops: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         axis = as_axis(self.axis)
         x = check_retention(self.x)
-        keep = sqrt(x) * IDENTITY
-        prefactor = -1j if axis is PauliAxis.SIGMA2 else 1.0
-        flip = prefactor * sqrt(1.0 - x) * SIGMAS[axis - 1]
-        for op in (keep, flip):  # read-only, as the channel's (axis, x) are
-            op.setflags(write=False)
+        scaled = ((sqrt(x), _KEEP), (sqrt(1.0 - x), _FLIPS[axis - 1]))
+        ops = tuple(tuple((s * e, 0.0) for e in entries) for s, entries in scaled)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "ops", (keep, flip))
+        object.__setattr__(self, "ops", ops)
 
 
 def make_one_pauli(axis, x) -> KrausChannel:
@@ -122,7 +120,6 @@ def make_one_pauli(axis, x) -> KrausChannel:
 
 def completeness_residual(ch: KrausChannel) -> float:
     """Largest absolute entry of sum_i A_i^dagger A_i - I, without BLAS."""
-    ops = [_pairs(op.tolist()) for op in ch.ops]
-    columns = [[z for op in ops for z in op[c::2]] for c in (0, 1)]
+    columns = [[z for op in ch.ops for z in op[c::2]] for c in (0, 1)]
     sums = [_vdot(u, v) for u in columns for v in columns]
     return max(hypot(re - one, im) for (re, im), one in zip(sums, (1.0, 0.0, 0.0, 1.0)))

@@ -5,8 +5,8 @@ Hermitian matrix given as its four row-major (re, im) pairs: Python floats
 on the scalar routes, arrays that broadcast together on the batch routes.
 Its guards and the split (t +- sqrt(r))/2 run unchanged on both. Its one
 complex product, Re(m01 m10), is spelled out, as are _vdot's, so no
-spectrum depends on the BLAS kernel or numpy's SIMD dispatch. The entropy
-kernel comes twice: math.log2 on Python floats, np.log2 on arrays.
+spectrum depends on the BLAS kernel or numpy's SIMD dispatch. Nor does any
+entropy: both entropy kernels, on floats and on arrays, take math.log2.
 """
 
 from __future__ import annotations
@@ -162,6 +162,6 @@ def spectrum_entropy_batch(spectra) -> np.ndarray:
         p = np.array([_spectrum_value(z) for z in raw.flat], dtype=float).reshape(raw.shape)
     _check_unit_interval(float(p.min(initial=np.inf)), float(p.max(initial=-np.inf)))
     p = np.clip(p, 0.0, 1.0)
-    positive = p > 0.0
-    terms = np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0)
-    return 0.0 - terms.sum(axis=-1)  # +0.0 for pure spectra, as in the scalar kernel
+    logs = np.fromiter(map(log2, np.where(p > 0.0, p, 1.0).ravel().tolist()), float, p.size)
+    # 0 log 1 = 0 log 0 = 0, and +0.0 for pure spectra, as in the scalar kernel
+    return 0.0 - (p * logs.reshape(p.shape)).sum(axis=-1)

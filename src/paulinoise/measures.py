@@ -12,9 +12,9 @@ which makes the pair a genuine two-route consistency check.
 
 report_batch and environment_entropy_oracle_batch evaluate both routes over
 a grid of channels and a set of states at once. Every complex product here
-is linalg._vdot's arithmetic on (re, im) pairs and every spectrum comes
-from linalg._eigenvalues, so none depends on the BLAS kernel or on numpy's
-SIMD dispatch; only the batch entropies' np.log2 does.
+is linalg._vdot's arithmetic on (re, im) pairs, every spectrum comes from
+linalg._eigenvalues and every entropy term takes math.log2, so none depends
+on the BLAS kernel or on numpy's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -60,13 +60,10 @@ def _bloch_of(m) -> BlochVector:
 
 
 def _kraus_contraction(ops, rho):
-    """The output state and W as their four row-major (re, im) pairs, the
-    entangled fidelity and bloch_out, from 2x2 nested entries of the Kraus
-    operators and the state's four row-major (re, im) pairs: Python numbers
-    (full_report) or arrays that broadcast together (report_batch). _vdot
-    spells out every complex product, so both give the same bits, whatever
-    the BLAS kernel."""
-    ops = [_pairs(op) for op in ops]
+    """The output state and W as their row-major (re, im) pairs, the entangled
+    fidelity and bloch_out, from the pairs of each Kraus operator and the state:
+    Python numbers (full_report) or arrays that broadcast (report_batch). _vdot
+    spells out every complex product, so both give the same bits on any BLAS."""
     # left_i = A_i rho: entry (r, c) takes row r of A_i against column c of
     # rho, passed conjugated since _vdot conjugates its first argument
     conj_columns = [[(re, -im) for re, im in rho[c::2]] for c in (0, 1)]
@@ -109,8 +106,7 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
     _, pairs, spectrum = _checked_density(rho)
     bloch_in = _bloch_of(pairs)
     h_in = _entropy(spectrum)
-    ops = [op.tolist() for op in ch.ops]
-    out, w, fidelity, bloch_out = _kraus_contraction(ops, pairs)
+    out, w, fidelity, bloch_out = _kraus_contraction(ch.ops, pairs)
     thetas = _eigenvalues(out)
     h_out = _entropy(thetas)
     lambdas = _eigenvalues(w)
@@ -133,8 +129,8 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
     )
 
 
-# Batched routes. kraus has shape (G, 2, 2, 2): two Kraus operators for each
-# of G channels; rhos has shape (S, 2, 2). Both are valid by construction:
+# Batched routes. kraus has shape (G, 2, 4, 2): the ops of G KrausChannels,
+# as (re, im) pairs; rhos has shape (S, 2, 2). Both are valid by construction:
 # the stack from KrausChannel, the states from bloch_to_density. Every
 # result has leading shape (G, S).
 
@@ -143,7 +139,7 @@ def report_batch(kraus: np.ndarray, rhos: np.ndarray) -> dict[str, np.ndarray]:
     """The full_report measures bloch_out, lambdas, thetas, noise_n,
     coherent_c and fidelity_numeric for every (channel, state) pair; the
     spectra carry a trailing (hi, lo) axis."""
-    # entries ops[i][a][b] of shape (G, 1) and rho[a][b] of shape (1, S)
+    # pairs ops[i][k] of arrays of shape (G, 1), rho[k] of arrays of shape (1, S)
     out, w, fidelity, bloch_out = _kraus_contraction(
         np.moveaxis(kraus, 0, -1)[..., None],
         _pairs(np.moveaxis(rhos, 0, -1)[..., None, :]),
@@ -195,8 +191,8 @@ def environment_entropy_oracle_batch(kraus: np.ndarray, rhos: np.ndarray) -> np.
     probs, vectors = _eigensystem_batch(rhos)
     # the weight p of each image below, clamped so rounding zeros drop out
     weights = np.repeat(np.where(probs > 0.0, probs, 0.0).T, 2, axis=0)
-    # entries A_e[a][b] of shape (G, 1) against eigenvector components of shape (S,)
-    ops = [_pairs(op) for op in np.moveaxis(kraus, 0, -1)[..., None]]
+    # pairs A_e[k] of arrays of shape (G, 1) against eigenvector components of shape (S,)
+    ops = np.moveaxis(kraus, 0, -1)[..., None]
     # images[e] = (A_e v_p)_a over (p, a): row a of A_e against v_p, passed
     # conjugated since _vdot conjugates its first argument
     conj_vectors = [[(re, -im) for re, im in v] for v in vectors]

@@ -1,5 +1,6 @@
 """Shared hypothesis strategies, the benchmark modules the tests read (the
-50-digit reference and the tracer) and test-only matrix checks."""
+50-digit reference and the tracer), the Pauli matrices and test-only
+matrix checks."""
 
 import importlib.util
 from functools import cache
@@ -62,6 +63,14 @@ def tracer():
     """The benchmark's span tracer (bench/tracer.py), whose TRACED names
     the package functions it hooks."""
     return _load_bench("tracer")
+
+
+# The Pauli matrices as complex arrays: the reference for the Kraus operators'
+# pair tuples and for bloch_to_density's closed form.
+IDENTITY = np.eye(2, dtype=complex)
+SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def hermiticity_residual(m) -> float:

@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 
-from helpers import bloch_vectors
+from helpers import IDENTITY, SIGMA1, SIGMA2, SIGMA3, bloch_vectors
 from paulinoise import (
     BlochVector,
     ValidationError,
@@ -40,6 +41,20 @@ def test_sigma1_eigenstate():
     assert np.array_equal(
         bloch_to_density((1, 0, 0)), [[0.5, 0.5], [0.5, 0.5]]
     )
+
+
+def _pauli_sum(a):
+    rho = IDENTITY.copy()
+    for component, pauli in zip(a, (SIGMA1, SIGMA2, SIGMA3)):
+        rho += component * pauli
+    return rho / 2.0
+
+
+@given(bloch_vectors())
+def test_bloch_to_density_equals_pauli_sum(a):
+    # bit for bit, zero signs included: each component also as +0.0 and -0.0
+    for v in itertools.product(*((c, 0.0, -0.0) for c in a)):
+        assert np.array_equal(bloch_to_density(v).view(np.int64), _pauli_sum(v).view(np.int64))
 
 
 def test_density_to_bloch_maximally_mixed():

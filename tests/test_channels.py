@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import axes, bloch_vectors, matrix_of, retentions
+from helpers import (
+    IDENTITY,
+    SIGMA1,
+    SIGMA2,
+    SIGMA3,
+    axes,
+    bloch_vectors,
+    matrix_of,
+    retentions,
+)
 from paulinoise import (
     KrausChannel,
     PauliAxis,
@@ -17,7 +26,7 @@ from paulinoise import (
     full_report,
     make_one_pauli,
 )
-from paulinoise.bloch import IDENTITY, SIGMA1, SIGMA2, SIGMA3
+from paulinoise import channels
 from paulinoise.channels import as_axis
 from paulinoise.linalg import _pairs, hermitian_eigenvalues_2x2
 from paulinoise.measures import _kraus_contraction
@@ -26,20 +35,29 @@ from paulinoise.measures import _kraus_contraction
 def test_noiseless_endpoint_is_identity_plus_zero():
     ch = make_one_pauli(1, 1.0)
     assert len(ch.ops) == 2
-    assert np.array_equal(ch.ops[0], IDENTITY)
-    assert np.array_equal(ch.ops[1], np.zeros((2, 2)))
+    assert all(len(op) == 4 for op in ch.ops)
+    assert np.array_equal(matrix_of(ch.ops[0]), IDENTITY)
+    assert np.array_equal(matrix_of(ch.ops[1]), np.zeros((2, 2)))
 
 
 def test_operator_scaling():
     ch = make_one_pauli(1, 0.75)
-    assert np.array_equal(ch.ops[0], np.sqrt(0.75) * IDENTITY)
-    assert np.array_equal(ch.ops[1], 0.5 * SIGMA1)
+    assert np.array_equal(matrix_of(ch.ops[0]), np.sqrt(0.75) * IDENTITY)
+    assert np.array_equal(matrix_of(ch.ops[1]), 0.5 * SIGMA1)
+
+
+@given(axes(), retentions())
+def test_operators_are_the_pauli_matrices_scaled(axis, x):
+    keep, flip = (matrix_of(op) for op in make_one_pauli(axis, x).ops)
+    prefactor = -1j if axis is PauliAxis.SIGMA2 else 1.0
+    assert np.array_equal(keep, np.sqrt(x) * IDENTITY)
+    assert np.array_equal(flip, prefactor * np.sqrt(1 - x) * (SIGMA1, SIGMA2, SIGMA3)[axis - 1])
 
 
 def test_sigma2_flip_operator_is_real():
     ch = make_one_pauli(2, 0.5)
-    flip = ch.ops[1]
-    assert np.all(flip.imag == 0)
+    assert all(im == 0.0 for _, im in ch.ops[1])
+    flip = matrix_of(ch.ops[1])
     assert np.array_equal(flip, np.sqrt(0.5) * np.array([[0, -1], [1, 0]]))
 
 
@@ -150,11 +168,12 @@ def test_kraus_operators_and_pauli_constants_are_read_only():
     ch = KrausChannel(1, 0.75)
     rho = bloch_to_density((0.5, 0.6, 0.6))
     before = full_report(ch, rho)
-    with pytest.raises(ValueError, match="read-only"):
-        ch.ops[1][0, 1] = 0.9
-    for constant in (IDENTITY, SIGMA1, SIGMA2, SIGMA3):
-        with pytest.raises(ValueError, match="read-only"):
-            constant[0, 0] = 3
+    for ops in (ch.ops, ch.ops[1], ch.ops[1][1]):
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            ops[1] = 0.9
+    for constant in (channels._KEEP, channels._FLIPS, channels._FLIPS[0]):
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            constant[0] = 3
     assert full_report(ch, rho) == before
     assert completeness_residual(ch) <= 1e-15
     assert (bloch_to_density((0, 0, 0)) == IDENTITY / 2).all()

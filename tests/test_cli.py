@@ -362,3 +362,17 @@ def test_no_command_imports_numpy_random(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_python_dash_m_is_the_command_line(capsys):
+    argv = ["analyze", "--channel", "sigma2", "--bloch=0.6,0.5,0.6", "--x=0.3"]
+    assert main(argv) == 0
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-m", "paulinoise", *argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == capsys.readouterr().out
+    failed = subprocess.run([sys.executable, "-m", "paulinoise", "verify", "--seed", "-1"],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert failed.returncode == 1

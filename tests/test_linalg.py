@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import hermitian_eigenvalues_batch, hermiticity_residual
+from helpers import (
+    IDENTITY,
+    SIGMA1,
+    SIGMA2,
+    SIGMA3,
+    hermitian_eigenvalues_batch,
+    hermiticity_residual,
+)
 from paulinoise import (
     KrausChannel,
     NumericError,
@@ -19,9 +26,9 @@ from paulinoise import (
     spectrum_entropy,
 )
 from paulinoise import linalg
-from paulinoise.bloch import IDENTITY, SIGMA1, SIGMA2, SIGMA3
 from paulinoise.linalg import (
     _eigenvalues,
+    _entropy,
     _pairs,
     spectrum_entropy_batch,
 )
@@ -379,6 +386,14 @@ def test_batched_entropy_matches_scalar_on_random_spectra():
     spectra = np.stack((hi, 1.0 - hi), axis=-1)
     for value, spectrum in zip(spectrum_entropy_batch(spectra), spectra):
         assert value == pytest.approx(spectrum_entropy(spectrum), abs=1e-15)
+
+
+def test_batched_entropy_equals_scalar_kernel_bit_for_bit():
+    # both kernels take math.log2, so no entropy follows numpy's SIMD dispatch
+    u = np.random.default_rng(22).random(20_000)
+    spectra = np.stack((np.maximum(u, 1.0 - u), np.minimum(u, 1.0 - u)), axis=-1)
+    expected = np.array([_entropy(s) for s in spectra.tolist()])
+    assert np.array_equal(spectrum_entropy_batch(spectra).view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("bad", [(1.0, -1.1e-12), (1.0 + 1.1e-12, 0.0), (1.1, 0.0)])

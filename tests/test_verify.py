@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import reference_values
+from helpers import IDENTITY, SIGMA1, reference_values
 from paulinoise import (
     BlochVector,
     ValidationError,
@@ -30,9 +30,9 @@ from paulinoise import (
     measures,
     verify,
 )
-from paulinoise.bloch import IDENTITY, SIGMA1
 from paulinoise.channels import PauliAxis, retention_grid
 from paulinoise.cli import main
+from paulinoise.linalg import _pairs
 from paulinoise.verify import (
     REFERENCE_STATES,
     RESIDUAL_LIMIT,
@@ -320,7 +320,8 @@ def test_gate_fails_on_route_drift(monkeypatch, capsys, module, name, key):
 def test_incomplete_kraus_stack_fails_the_gate(monkeypatch, capsys):
     # make_one_pauli never builds an incomplete channel, so one is injected:
     # sum_i A_i^dagger A_i = 0.9 I
-    incomplete = SimpleNamespace(ops=(np.sqrt(0.5) * IDENTITY, np.sqrt(0.4) * SIGMA1))
+    ops = (np.sqrt(0.5) * IDENTITY, np.sqrt(0.4) * SIGMA1)
+    incomplete = SimpleNamespace(ops=tuple(tuple(_pairs(op.tolist())) for op in ops))
     monkeypatch.setattr(verify, "make_one_pauli", lambda axis, x: incomplete)
     rc = main(["verify", "--grid", str(GRID), "--samples", str(SAMPLES), "--seed", "1"])
     assert rc == 2
