@@ -151,7 +151,7 @@ def cmd_analyze(args) -> int:
     precision = _flagged("--precision", _check_precision, args.precision)
     report = full_report(make_one_pauli(axis, x), bloch_to_density(bloch))
     print(f"x = {format_value(report.x, precision)}")
-    print(f"bloch_in = {format_bloch(report.bloch_in, precision)}")
+    print(f"bloch_in = {format_bloch(bloch, precision)}")
     print(f"bloch_out = {format_bloch(report.bloch_out, precision)}")
     for name in ("h_in", "h_out", "noise_n", "coherent_c", "fidelity_numeric",
                  "fidelity_paper"):

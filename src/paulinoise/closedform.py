@@ -85,7 +85,7 @@ def closed_point(axis, x, a) -> ClosedFormPoint:
     axis, x, a = _domain(axis, x, a)
     values = {
         name: array[0, 0].tolist()
-        for name, array in closed_batch(axis, np.array([x]), np.array([a])).items()
+        for name, array in closed_batch(axis, np.array([[x]]), np.array([a])).items()
     }
     return ClosedFormPoint(
         b=BlochVector(*values["bloch_out"]),
@@ -98,8 +98,9 @@ def closed_point(axis, x, a) -> ClosedFormPoint:
 
 
 def closed_batch(axis: PauliAxis, x, a) -> dict[str, np.ndarray]:
-    """closed_point over retention rates x of shape (G,) and Bloch vectors
-    a of shape (S, 3), computed from x and the Bloch components alone.
+    """closed_point over retention rates x, a float array of shape (G, 1),
+    and Bloch vectors a, a float array of shape (S, 3), computed from x and
+    the Bloch components alone.
 
     Returns the ClosedFormPoint quantities b, lambdas, thetas, noise_n,
     coherent_c and fidelity_paper as arrays of leading shape (G, S); b and
@@ -108,11 +109,9 @@ def closed_batch(axis: PauliAxis, x, a) -> dict[str, np.ndarray]:
     grid comes from retention_grid and whose states pass check_bloch.
     """
     k = axis - 1
-    a = np.asarray(a, dtype=float)
     ak = a[:, k]
     t1, t2 = (a[:, i] for i in range(3) if i != k)
     transverse_sq = t1 * t1 + t2 * t2
-    x = np.asarray(x, dtype=float)[:, None]
     b = (2.0 * x - 1.0)[..., None] * a
     b[..., k] = ak
     lambdas = split_spectrum(1.0, _lambda_radicand(x, ak), "radicand")

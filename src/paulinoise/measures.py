@@ -11,7 +11,9 @@ system-environment dilation. It shares no intermediate quantities with W,
 which makes the pair a genuine two-route consistency check.
 
 report_batch and environment_entropy_oracle_batch evaluate both routes over
-a grid of channels and a set of states at once. Every complex product here
+a grid of channels and a set of states at once, from the (re, im) pairs of
+the Kraus operators and of the state as arrays that broadcast together; only
+verify.axis_routes knows how they are stacked. Every complex product here
 is linalg._vdot's arithmetic on (re, im) pairs, every spectrum comes from
 linalg._eigenvalues and every entropy term takes math.log2, so none depends
 on the BLAS kernel or on numpy's SIMD dispatch.
@@ -24,16 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform
-from .bloch import BlochVector, _checked_density, check_density
+from .bloch import BlochVector, _checked_density
 from .channels import KrausChannel
-from .linalg import (
-    SpectrumPair,
-    _eigenvalues,
-    _entropy,
-    _pairs,
-    _vdot,
-    spectrum_entropy_batch,
-)
+from .linalg import SpectrumPair, _eigenvalues, _entropy, _vdot, spectrum_entropy_batch
 
 
 @dataclass(frozen=True)
@@ -90,8 +85,9 @@ def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
     and the entropy of the resulting environment state is returned. Must
     agree with full_report's noise_n for every valid input.
     """
-    rhos = check_density(rho)[None]
-    return float(environment_entropy_oracle_batch(np.array([ch.ops]), rhos)[0, 0])
+    pairs = np.array(_checked_density(rho)[1])[..., None]
+    ops = np.array(ch.ops)[..., None, None]
+    return float(environment_entropy_oracle_batch(ops, pairs)[0, 0])
 
 
 def full_report(ch: KrausChannel, rho) -> ChannelReport:
@@ -129,21 +125,17 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
     )
 
 
-# Batched routes. kraus has shape (G, 2, 4, 2): the ops of G KrausChannels,
-# as (re, im) pairs; rhos has shape (S, 2, 2). Both are valid by construction:
-# the stack from KrausChannel, the states from bloch_to_density. Every
-# result has leading shape (G, S).
+# Batched routes. ops and rho are laid out as _kraus_contraction reads them:
+# the pairs of each Kraus operator and of the state, arrays that broadcast
+# together. Both are valid by construction, the ops from KrausChannel and
+# the state from bloch_to_density; verify.axis_routes builds them.
 
 
-def report_batch(kraus: np.ndarray, rhos: np.ndarray) -> dict[str, np.ndarray]:
+def report_batch(ops, rho) -> dict[str, np.ndarray]:
     """The full_report measures bloch_out, lambdas, thetas, noise_n,
-    coherent_c and fidelity_numeric for every (channel, state) pair; the
-    spectra carry a trailing (hi, lo) axis."""
-    # pairs ops[i][k] of arrays of shape (G, 1), rho[k] of arrays of shape (1, S)
-    out, w, fidelity, bloch_out = _kraus_contraction(
-        np.moveaxis(kraus, 0, -1)[..., None],
-        _pairs(np.moveaxis(rhos, 0, -1)[..., None, :]),
-    )
+    coherent_c and fidelity_numeric for every broadcast (channel, state)
+    cell; the spectra carry a trailing (hi, lo) axis."""
+    out, w, fidelity, bloch_out = _kraus_contraction(ops, rho)
     thetas = _eigenvalues(out)
     lambdas = _eigenvalues(w)
     h_out = spectrum_entropy_batch(thetas)
@@ -158,10 +150,11 @@ def report_batch(kraus: np.ndarray, rhos: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _eigensystem_batch(rhos: np.ndarray):
-    """Closed-form spectral decomposition of a stack of 2x2 Hermitian
-    matrices: spectra of shape (S, 2) and the eigenvectors (v_hi, v_lo),
-    each two (re, im) component pairs of arrays of shape (S,).
+def _eigensystem_batch(rho):
+    """Closed-form spectral decomposition of 2x2 Hermitian matrices given as
+    their four row-major (re, im) pairs of arrays of shape (S,): spectra of
+    shape (S, 2) and the eigenvectors (v_hi, v_lo), each two (re, im)
+    component pairs of arrays of shape (S,).
 
     The top eigenvector comes from the better-conditioned of the two
     analytic expressions; the second is its exact orthogonal complement,
@@ -169,7 +162,7 @@ def _eigensystem_batch(rhos: np.ndarray):
     Within a hair of exact degeneracy (a gap of 1e-13 or less) the standard
     basis, ordered by the diagonal, rebuilds the matrix to half the gap.
     """
-    (r00, _), (r01, i01), _, (r11, _) = rho = _pairs(np.moveaxis(rhos, 0, -1))
+    (r00, _), (r01, i01), _, (r11, _) = rho
     vals = _eigenvalues(rho)
     hi, lo = vals.T
     v1 = r01, i01, hi - r00, 0.0  # two eigenvectors of hi as (re, im, re, im)
@@ -183,16 +176,15 @@ def _eigensystem_batch(rhos: np.ndarray):
     return vals, (((ar, ai), (br, bi)), ((-br, bi), (ar, -ai)))
 
 
-def environment_entropy_oracle_batch(kraus: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """environment_entropy_oracle for every (channel, state) pair, through
-    its own dilation: each eigenvector v of rho is pushed through
+def environment_entropy_oracle_batch(ops, rho) -> np.ndarray:
+    """environment_entropy_oracle for every broadcast (channel, state) cell,
+    through its own dilation: each eigenvector v of rho is pushed through
     V v = sum_e (A_e v) x |e>, the system is traced out, and the entropy of
-    the environment state is returned with shape (G, S)."""
-    probs, vectors = _eigensystem_batch(rhos)
+    the environment state is returned; ops as report_batch takes them, and
+    rho as _eigensystem_batch does."""
+    probs, vectors = _eigensystem_batch(rho)
     # the weight p of each image below, clamped so rounding zeros drop out
     weights = np.repeat(np.where(probs > 0.0, probs, 0.0).T, 2, axis=0)
-    # pairs A_e[k] of arrays of shape (G, 1) against eigenvector components of shape (S,)
-    ops = np.moveaxis(kraus, 0, -1)[..., None]
     # images[e] = (A_e v_p)_a over (p, a): row a of A_e against v_p, passed
     # conjugated since _vdot conjugates its first argument
     conj_vectors = [[(re, -im) for re, im in v] for v in vectors]

@@ -3,8 +3,8 @@ dilation oracle.
 
 For each channel axis, all three routes are evaluated at once over (G, S)
 arrays of G grid retention rates by S input states, seeded quasi-random
-Bloch vectors and one reference input: the Kraus route from the stacked
-Kraus operators and density matrices, the closed forms from x and the Bloch
+Bloch vectors and one reference input: the Kraus route from the (re, im)
+pairs of the Kraus operators and states, the closed forms from x and the Bloch
 components only, and the oracle from its own dilation of each state. The
 report then reduces the route arrays: every residual is the largest
 absolute difference of one pair of arrays named in RESIDUAL_ROUTES.
@@ -29,6 +29,7 @@ from .channels import (
     make_one_pauli,
     retention_grid,
 )
+from .linalg import _pairs
 
 # Largest cross-route residual a passing verification allows. It also
 # separates C > 0 from C ~ 0 in the sign counts: at x = 1/2, C = 0 exactly
@@ -123,16 +124,17 @@ def axis_routes(
     """
     channels = [make_one_pauli(axis, x) for x in grid]
     completeness = np.array([completeness_residual(ch) for ch in channels])
-    kraus = np.array([ch.ops for ch in channels])
-    rhos = np.array([bloch_to_density(a) for a in states])
+    # pairs ops[i][k] of arrays of shape (G, 1), rho[k] of arrays of shape (S,)
+    ops = np.moveaxis(np.array([ch.ops for ch in channels]), 0, -1)[..., None]
+    rho = _pairs(np.moveaxis(np.array([bloch_to_density(a) for a in states]), 0, -1))
     x = np.array(grid)[:, None]
     a = np.array(states)
     routes = {"completeness": completeness}
-    for name, values in measures.report_batch(kraus, rhos).items():
+    for name, values in measures.report_batch(ops, rho).items():
         routes[f"kraus.{name}"] = values
-    for name, values in closedform.closed_batch(axis, grid, a).items():
+    for name, values in closedform.closed_batch(axis, x, a).items():
         routes[f"closed.{name}"] = values
-    routes["oracle.noise_n"] = measures.environment_entropy_oracle_batch(kraus, rhos)
+    routes["oracle.noise_n"] = measures.environment_entropy_oracle_batch(ops, rho)
     ak = a[:, axis - 1]
     routes["identity.fidelity"] = x + (1.0 - x) * ak * ak
     if axis is PauliAxis.SIGMA2:

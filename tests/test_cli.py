@@ -53,6 +53,25 @@ def test_analyze_prints_every_report_field(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "bloch, printed",
+    [
+        ("1e-12,-1e-12,1e-12", "1e-12,-1e-12,1e-12"),
+        ("0,0,-1e-300", "0,0,-1e-300"),
+        ("5e-324,0,0", "4.94065645841e-324,0,0"),  # the one subnormal at 12 digits
+        ("0.6,0.8,1e-7", "0.6,0.8,1e-07"),
+    ],
+)
+def test_analyze_echoes_tiny_bloch_components(capsys, bloch, printed):
+    # the density entries (1 +- a3)/2 hold a3 only to about 1e-16 absolute,
+    # so bloch_in is the parsed vector, not one rebuilt from the matrix
+    assert main(["analyze", "--channel", "sigma1", f"--bloch={bloch}", "--x", "0.3"]) == 0
+    line = next(line for line in _lines(capsys) if line.startswith("bloch_in = "))
+    assert line == f"bloch_in = {printed}"
+    echoed = [float(c) for c in line.removeprefix("bloch_in = ").split(",")]
+    assert echoed == [float(c) for c in bloch.split(",")]
+
+
 def test_analyze_rejects_long_bloch_vector(capsys):
     rc = main(["analyze", "--channel", "sigma1", "--bloch", "0,0,2",
                "--x", "0.5"])

@@ -124,7 +124,8 @@ def test_fidelity_sigma3_noiseless():
 def test_fidelity_paper_closed_equals_closed_batch_bitwise(axis):
     grid = [i / 10 for i in range(11)]
     states = [(0.6, 0.5, 0.6), (-0.3, 0.9, 0.1), (1e-8, -1e-12, 0.7), (0, 0, 1)]
-    batch = closed_batch(axis, grid, states)["fidelity_paper"]
+    batch = closed_batch(axis, np.array(grid)[:, None], np.array(states, dtype=float))
+    batch = batch["fidelity_paper"]
     scalar = np.array([[fidelity_paper_closed(axis, x, a) for a in states]
                        for x in grid])
     # bit patterns, so that 0.0 and -0.0 count as different
@@ -170,7 +171,7 @@ def test_domain_validation(bad_x):
 
 def _assert_radicand_floor_raises():
     with pytest.raises(NumericError, match="negative radicand"):
-        closed_batch(3, [0.5], [(0.1, 0.2, 0.3)])
+        closed_batch(3, np.array([[0.5]]), np.array([(0.1, 0.2, 0.3)]))
     with pytest.raises(NumericError, match="negative radicand"):
         closed_point(3, 0.5, (0.1, 0.2, 0.3))
 

@@ -24,7 +24,11 @@ from paulinoise import (
 )
 from paulinoise import bloch, closedform, linalg, measures
 from paulinoise.linalg import _pairs
-from paulinoise.measures import _kraus_contraction, report_batch
+from paulinoise.measures import (
+    _kraus_contraction,
+    environment_entropy_oracle_batch,
+    report_batch,
+)
 from paulinoise.verify import random_blochs
 
 # binary entropy of (1 + sqrt(0.97))/2, evaluated with 50-digit arithmetic;
@@ -38,6 +42,18 @@ H_POINT_THREE = 0.8812908992306927
 
 def _rho(a):
     return bloch_to_density(a)
+
+
+def _state_pairs(rhos):
+    """The batch kernels' state operand, as verify lays it out: the four
+    (re, im) pairs of a stack of states, each an array of shape (S,)."""
+    return _pairs(np.moveaxis(np.array(rhos), 0, -1))
+
+
+def _ops_pairs(channels):
+    """The batch kernels' Kraus operand, as verify lays it out: ops[i][k]
+    is the pair k of operator i, each an array of shape (G, 1)."""
+    return np.moveaxis(np.array([ch.ops for ch in channels]), 0, -1)[..., None]
 
 
 def test_w_matrix_sigma1_halfway():
@@ -194,7 +210,7 @@ def _eigensystem_inputs():
 
 def test_eigensystem_is_orthonormal_and_rebuilds_the_state():
     rhos = _eigensystem_inputs()
-    vals, vectors = measures._eigensystem_batch(rhos)
+    vals, vectors = measures._eigensystem_batch(_state_pairs(rhos))
     # v[s, p, b]: component b of the eigenvector of vals[s, p]
     v = np.moveaxis(np.array([[re + 1j * im for re, im in vec] for vec in vectors]), -1, 0)
     gram = np.einsum("spb,sqb->spq", v.conj(), v)
@@ -317,7 +333,7 @@ def _bits(values) -> bytes:
 def test_full_report_is_bit_equal_to_report_batch(axis):
     channels = [KrausChannel(axis, x) for x in KERNEL_RATES]
     rhos = [bloch_to_density(a) for a in KERNEL_STATES]
-    batch = report_batch(np.array([ch.ops for ch in channels]), np.array(rhos))
+    batch = report_batch(_ops_pairs(channels), _state_pairs(rhos))
     for g, ch in enumerate(channels):
         for s, rho in enumerate(rhos):
             rep, at = full_report(ch, rho), (g, s)
@@ -327,3 +343,12 @@ def test_full_report_is_bit_equal_to_report_batch(axis):
             assert _bits(rep.fidelity_numeric) == _bits(batch["fidelity_numeric"][at]), at
             assert abs(rep.noise_n - batch["noise_n"][at]) <= 1e-15, at
             assert abs(rep.coherent_c - batch["coherent_c"][at]) <= 1e-15, at
+
+
+@pytest.mark.parametrize("axis", list(PauliAxis), ids=lambda axis: axis.token)
+def test_oracle_is_bit_equal_to_its_batch_kernel(axis):
+    channels = [KrausChannel(axis, x) for x in KERNEL_RATES]
+    rhos = [bloch_to_density(a) for a in KERNEL_STATES]
+    batch = environment_entropy_oracle_batch(_ops_pairs(channels), _state_pairs(rhos))
+    scalar = [[environment_entropy_oracle(ch, rho) for rho in rhos] for ch in channels]
+    assert _bits(scalar) == _bits(batch)
