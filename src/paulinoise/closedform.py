@@ -3,11 +3,12 @@
 These are transcriptions of the published closed forms, not re-derivations,
 so that the generic Kraus path can cross-validate them and any typo in the
 source formulas surfaces as a residual instead of being silently corrected.
-closed_batch evaluates them over a grid of retention rates and a set of
-Bloch vectors; closed_point is that computation on a batch of one, and
-fidelity_paper_closed its scalar form. The lambda and theta spectra are
-linalg.split_spectrum of their radicands, the split and floor the
-eigenvalue kernel uses.
+closed_batch evaluates them on Python floats at one point, which is
+closed_point, or over a grid of retention rates and a set of Bloch vectors
+as arrays that broadcast, with one body; fidelity_paper_closed is its
+fidelity alone. The lambda and theta spectra are linalg.split_spectrum of
+their radicands, the split and floor the eigenvalue kernel uses, and the
+entropies linalg._entropy's.
 The known case is the axis-2 fidelity, whose printed sign disagrees with
 the trace-form definition; see fidelity_paper_closed.
 """
@@ -16,11 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bloch import BlochVector, check_bloch
 from .channels import PauliAxis, as_axis, check_retention
-from .linalg import SpectrumPair, spectrum_entropy_batch, split_spectrum
+from .linalg import SpectrumPair, _entropy, split_spectrum
 
 
 @dataclass(frozen=True)
@@ -49,14 +48,16 @@ def _domain(axis, x, a) -> tuple[PauliAxis, float, BlochVector]:
 
 
 def _lambda_radicand(x, ak):
-    """1 - 4x(x-1)(a_k^2 - 1) as (2x-1)^2 + 4x(1-x) a_k^2, which keeps a
+    """1 - 4x(x-1)(a_k^2 - 1) as u u + 4x(1-x) a_k^2, u = 2x-1, which keeps a
     tiny radicand (x near 1/2, tiny a_k) accurate; floats or arrays."""
-    return (2.0 * x - 1.0) ** 2 + 4.0 * x * (1.0 - x) * (ak * ak)
+    u = 2.0 * x - 1.0
+    return u * u + 4.0 * x * (1.0 - x) * (ak * ak)
 
 
 def _theta_radicand(x, ak, transverse_sq):
-    """a_k^2 + t^2 (1-2x)^2, for floats or broadcastable arrays."""
-    return ak * ak + transverse_sq * (1.0 - 2.0 * x) ** 2
+    """a_k^2 + t^2 (u u), u = 1-2x, for floats or broadcastable arrays."""
+    u = 1.0 - 2.0 * x
+    return ak * ak + transverse_sq * (u * u)
 
 
 def _fidelity_paper(axis: PauliAxis, x, ak):
@@ -80,48 +81,34 @@ def fidelity_paper_closed(axis, x, a) -> float:
 
 
 def closed_point(axis, x, a) -> ClosedFormPoint:
-    """Every closed-form quantity at one operating point: closed_batch's
-    kernel on a batch of one, after validating the point."""
-    axis, x, a = _domain(axis, x, a)
-    values = {
-        name: array[0, 0].tolist()
-        for name, array in closed_batch(axis, np.array([[x]]), np.array([a])).items()
-    }
-    return ClosedFormPoint(
-        b=BlochVector(*values["bloch_out"]),
-        lambdas=SpectrumPair(*values["lambdas"]),
-        thetas=SpectrumPair(*values["thetas"]),
-        noise_n=values["noise_n"],
-        coherent_c=values["coherent_c"],
-        fidelity_paper=values["fidelity_paper"],
-    )
+    """Every closed-form quantity at one operating point: closed_batch on
+    Python floats, after validating the point."""
+    return ClosedFormPoint(**closed_batch(*_domain(axis, x, a)))
 
 
-def closed_batch(axis: PauliAxis, x, a) -> dict[str, np.ndarray]:
-    """closed_point over retention rates x, a float array of shape (G, 1),
-    and Bloch vectors a, a float array of shape (S, 3), computed from x and
-    the Bloch components alone.
-
-    Returns the ClosedFormPoint quantities b, lambdas, thetas, noise_n,
-    coherent_c and fidelity_paper as arrays of leading shape (G, S); b and
-    the spectra carry a trailing axis of 3 and 2 (hi, lo). The domain is
-    validated by the caller: closed_point for one point, and verify, whose
-    grid comes from retention_grid and whose states pass check_bloch.
+def closed_batch(axis: PauliAxis, x, a) -> dict:
+    """The ClosedFormPoint fields, computed from x and the Bloch components
+    alone: at one point, from a float x and a BlochVector a of floats, or
+    over retention rates x, an array of shape (G, 1), and Bloch vectors a,
+    an array of shape (3, S), as arrays of shape (G, S) or broadcast to it.
+    b is a BlochVector and the spectra SpectrumPairs (hi, lo), of floats or
+    of arrays. The domain is validated by the caller: closed_point for one
+    point, and verify, whose grid comes from retention_grid and whose
+    states pass check_bloch.
     """
     k = axis - 1
-    ak = a[:, k]
-    t1, t2 = (a[:, i] for i in range(3) if i != k)
+    ak = a[k]
+    t1, t2 = (a[i] for i in range(3) if i != k)
     transverse_sq = t1 * t1 + t2 * t2
-    b = (2.0 * x - 1.0)[..., None] * a
-    b[..., k] = ak
+    u = 2.0 * x - 1.0
     lambdas = split_spectrum(1.0, _lambda_radicand(x, ak), "radicand")
     thetas = split_spectrum(1.0, _theta_radicand(x, ak, transverse_sq), "radicand")
-    noise = spectrum_entropy_batch(lambdas)
+    noise = _entropy(lambdas)
     return {
-        "bloch_out": b,
+        "b": BlochVector(*(ak if i == k else u * a[i] for i in range(3))),
         "lambdas": lambdas,
         "thetas": thetas,
         "noise_n": noise,
-        "coherent_c": spectrum_entropy_batch(thetas) - noise,
+        "coherent_c": _entropy(thetas) - noise,
         "fidelity_paper": _fidelity_paper(axis, x, ak),
     }

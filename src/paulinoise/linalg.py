@@ -1,12 +1,13 @@
 """Complex linear algebra kernel for 2x2 matrices.
 
-The one spectral routine, _eigenvalues, is the closed form for a 2x2
-Hermitian matrix given as its four row-major (re, im) pairs: Python floats
-on the scalar routes, arrays that broadcast together on the batch routes.
-Its guards and the split (t +- sqrt(r))/2 run unchanged on both. Its one
+Each kernel here has one body for Python floats, on the scalar routes, and
+for arrays that broadcast together, on the batch routes. The one spectral
+routine, _eigenvalues, is the closed form for a 2x2 Hermitian matrix given
+as its four row-major (re, im) pairs; its guards and the split
+(t +- sqrt(r))/2 give a SpectrumPair of floats or of arrays. Its one
 complex product, Re(m01 m10), is spelled out, as are _vdot's, so no
 spectrum depends on the BLAS kernel or numpy's SIMD dispatch. Nor does any
-entropy: both entropy kernels, on floats and on arrays, take math.log2.
+entropy: the one entropy kernel, _entropy, takes math.log2 of every value.
 """
 
 from __future__ import annotations
@@ -85,16 +86,15 @@ def hermitian_eigenvalues_2x2(m) -> SpectrumPair:
 
 
 def split_spectrum(t, r, name: str):
-    """(t +- sqrt(r))/2, descending, with r floored at 0; below -ROUNDING_TOL
-    it raises NumericError("negative <name> ..."). A Python float r gives a
-    SpectrumPair via math.sqrt, an array one with a trailing (hi, lo) axis."""
+    """SpectrumPair((t + sqrt(r))/2, (t - sqrt(r))/2), with r floored at 0;
+    below -ROUNDING_TOL it raises NumericError("negative <name> ..."). A
+    Python float r takes math.sqrt, an array np.sqrt: both correctly rounded."""
     scalar = type(r) is float
     lowest = r if scalar else float(r.min(initial=0.0))
     if lowest < -ROUNDING_TOL:
         raise NumericError(f"negative {name} {lowest:.3e}")
     root = sqrt(max(r, 0.0)) if scalar else np.sqrt(np.maximum(r, 0.0))
-    hi, lo = (t + root) / 2.0, (t - root) / 2.0
-    return SpectrumPair(hi, lo) if scalar else np.stack((hi, lo), axis=-1)
+    return SpectrumPair((t + root) / 2.0, (t - root) / 2.0)
 
 
 def _eigenvalues(m):
@@ -139,29 +139,22 @@ def spectrum_entropy(spectrum: Iterable[float]) -> float:
     return _entropy([_spectrum_value(p) for p in spectrum])
 
 
-def _entropy(spectrum: Iterable[float]) -> float:
-    """spectrum_entropy of Python floats, such as the SpectrumPairs that
-    _eigenvalues returns: the bounds, clamping and 0 log 0 = 0."""
+def _entropy(spectrum):
+    """0 - sum_p p log2 p, summed in order, over spectrum values that are
+    Python floats, such as the SpectrumPairs _eigenvalues returns, or arrays
+    that broadcast: each value gets the bounds, the clamping to [0, 1] and
+    0 log 0 = 0, and each array value math.log2 element by element."""
     total = 0.0
     for p in spectrum:
-        _check_unit_interval(p, p)
-        p = min(max(p, 0.0), 1.0)
-        if p > 0.0:
-            total -= p * log2(p)
+        if type(p) is float:
+            _check_unit_interval(p, p)
+            p = min(max(p, 0.0), 1.0)
+            if p > 0.0:
+                total -= p * log2(p)
+            continue
+        _check_unit_interval(float(p.min(initial=inf)), float(p.max(initial=-inf)))
+        p = np.clip(p, 0.0, 1.0)
+        # 0 log 1 = 0 log 0 = 0, and +0.0 for p = 1, as on floats
+        logs = np.fromiter(map(log2, np.where(p > 0.0, p, 1.0).ravel().tolist()), float, p.size)
+        total = total - p * logs.reshape(p.shape)
     return total
-
-
-def spectrum_entropy_batch(spectra) -> np.ndarray:
-    """spectrum_entropy along the last axis of an array of spectra, with
-    the same number rule, bounds, clamping and 0 log 0 = 0; an ndarray of
-    integer or float dtype passes whole."""
-    if isinstance(spectra, np.ndarray) and spectra.dtype.kind in "iuf":
-        p = spectra.astype(float, copy=False)
-    else:
-        raw = np.asarray(spectra, dtype=object)
-        p = np.array([_spectrum_value(z) for z in raw.flat], dtype=float).reshape(raw.shape)
-    _check_unit_interval(float(p.min(initial=np.inf)), float(p.max(initial=-np.inf)))
-    p = np.clip(p, 0.0, 1.0)
-    logs = np.fromiter(map(log2, np.where(p > 0.0, p, 1.0).ravel().tolist()), float, p.size)
-    # 0 log 1 = 0 log 0 = 0, and +0.0 for pure spectra, as in the scalar kernel
-    return 0.0 - (p * logs.reshape(p.shape)).sum(axis=-1)

@@ -10,13 +10,13 @@ environment_entropy_oracle recomputes N from first principles through the
 system-environment dilation. It shares no intermediate quantities with W,
 which makes the pair a genuine two-route consistency check.
 
-report_batch and environment_entropy_oracle_batch evaluate both routes over
-a grid of channels and a set of states at once, from the (re, im) pairs of
-the Kraus operators and of the state as arrays that broadcast together; only
-verify.axis_routes knows how they are stacked. Every complex product here
-is linalg._vdot's arithmetic on (re, im) pairs, every spectrum comes from
-linalg._eigenvalues and every entropy term takes math.log2, so none depends
-on the BLAS kernel or on numpy's SIMD dispatch.
+report_batch is the one Kraus-route sequence, contraction to entropies, on
+the (re, im) pairs of the Kraus operators and of the state: Python floats in
+full_report, or arrays that broadcast over a grid of channels by a set of
+states, as environment_entropy_oracle_batch takes them; only
+verify.axis_routes stacks them. Every complex product is linalg._vdot's, every
+spectrum linalg._eigenvalues' and every entropy linalg._entropy's (math.log2),
+so none depends on the BLAS kernel or on numpy's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import closedform
 from .bloch import BlochVector, _checked_density
 from .channels import KrausChannel
-from .linalg import SpectrumPair, _eigenvalues, _entropy, _vdot, spectrum_entropy_batch
+from .linalg import SpectrumPair, _eigenvalues, _entropy, _vdot
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
     """Evaluate every measure at one operating point.
 
     The state is validated once, by check_density's pass, whose pairs give
-    the contraction's input and bloch_in and whose spectrum gives h_in; the
+    report_batch's input and bloch_in and whose spectrum gives h_in; the
     channel is validated by its constructor. Everything derived from them
     goes straight to the cores, whose spectral guards (Hermiticity,
     discriminant, spectrum bounds) still run.
@@ -102,48 +102,34 @@ def full_report(ch: KrausChannel, rho) -> ChannelReport:
     _, pairs, spectrum = _checked_density(rho)
     bloch_in = _bloch_of(pairs)
     h_in = _entropy(spectrum)
-    out, w, fidelity, bloch_out = _kraus_contraction(ch.ops, pairs)
-    thetas = _eigenvalues(out)
-    h_out = _entropy(thetas)
-    lambdas = _eigenvalues(w)
-    noise_n = _entropy(lambdas)
+    kraus = report_batch(ch.ops, pairs)
     return ChannelReport(
         x=ch.x,
         bloch_in=bloch_in,
-        bloch_out=bloch_out,
         h_in=h_in,
-        h_out=h_out,
-        noise_n=noise_n,
-        coherent_c=h_out - noise_n,
-        fidelity_numeric=fidelity,
         fidelity_paper=closedform._fidelity_paper(
             ch.axis, ch.x, bloch_in[ch.axis - 1]
         ),
-        lambdas=lambdas,
-        thetas=thetas,
-        mutual_info=h_in + h_out - noise_n,
+        mutual_info=h_in + kraus["h_out"] - kraus["noise_n"],
+        **kraus,
     )
 
 
-# Batched routes. ops and rho are laid out as _kraus_contraction reads them:
-# the pairs of each Kraus operator and of the state, arrays that broadcast
-# together. Both are valid by construction, the ops from KrausChannel and
-# the state from bloch_to_density; verify.axis_routes builds them.
-
-
-def report_batch(ops, rho) -> dict[str, np.ndarray]:
-    """The full_report measures bloch_out, lambdas, thetas, noise_n,
-    coherent_c and fidelity_numeric for every broadcast (channel, state)
-    cell; the spectra carry a trailing (hi, lo) axis."""
+def report_batch(ops, rho) -> dict:
+    """The full_report measures bloch_out (a BlochVector), thetas and lambdas
+    (SpectrumPairs), h_out, noise_n, coherent_c and fidelity_numeric, of floats
+    or of arrays, from the pairs _kraus_contraction reads; the ops are valid
+    from KrausChannel, the state from check_density or bloch_to_density."""
     out, w, fidelity, bloch_out = _kraus_contraction(ops, rho)
     thetas = _eigenvalues(out)
+    h_out = _entropy(thetas)
     lambdas = _eigenvalues(w)
-    h_out = spectrum_entropy_batch(thetas)
-    noise = spectrum_entropy_batch(lambdas)
+    noise = _entropy(lambdas)
     return {
-        "bloch_out": np.stack(bloch_out, axis=-1),
-        "lambdas": lambdas,
+        "bloch_out": bloch_out,
         "thetas": thetas,
+        "h_out": h_out,
+        "lambdas": lambdas,
         "noise_n": noise,
         "coherent_c": h_out - noise,
         "fidelity_numeric": fidelity,
@@ -152,9 +138,9 @@ def report_batch(ops, rho) -> dict[str, np.ndarray]:
 
 def _eigensystem_batch(rho):
     """Closed-form spectral decomposition of 2x2 Hermitian matrices given as
-    their four row-major (re, im) pairs of arrays of shape (S,): spectra of
-    shape (S, 2) and the eigenvectors (v_hi, v_lo), each two (re, im)
-    component pairs of arrays of shape (S,).
+    their four row-major (re, im) pairs of arrays of shape (S,): the spectra,
+    a SpectrumPair of arrays of shape (S,), and the eigenvectors (v_hi, v_lo),
+    each two (re, im) component pairs of arrays of shape (S,).
 
     The top eigenvector comes from the better-conditioned of the two
     analytic expressions; the second is its exact orthogonal complement,
@@ -164,7 +150,7 @@ def _eigensystem_batch(rho):
     """
     (r00, _), (r01, i01), _, (r11, _) = rho
     vals = _eigenvalues(rho)
-    hi, lo = vals.T
+    hi, lo = vals
     v1 = r01, i01, hi - r00, 0.0  # two eigenvectors of hi as (re, im, re, im)
     v2 = hi - r11, 0.0, r01, -i01
     n1, n2 = (sum(c * c for c in v) for v in (v1, v2))
@@ -184,7 +170,8 @@ def environment_entropy_oracle_batch(ops, rho) -> np.ndarray:
     rho as _eigensystem_batch does."""
     probs, vectors = _eigensystem_batch(rho)
     # the weight p of each image below, clamped so rounding zeros drop out
-    weights = np.repeat(np.where(probs > 0.0, probs, 0.0).T, 2, axis=0)
+    probs = np.array(probs)
+    weights = np.repeat(np.where(probs > 0.0, probs, 0.0), 2, axis=0)
     # images[e] = (A_e v_p)_a over (p, a): row a of A_e against v_p, passed
     # conjugated since _vdot conjugates its first argument
     conj_vectors = [[(re, -im) for re, im in v] for v in vectors]
@@ -192,4 +179,4 @@ def environment_entropy_oracle_batch(ops, rho) -> np.ndarray:
     weighted = [[(w * re, w * im) for w, (re, im) in zip(weights, img)] for img in images]
     # env_ef = sum_p p <A_f v_p|A_e v_p>: the system traced out
     env = [_vdot(images[f], weighted[e]) for e in (0, 1) for f in (0, 1)]
-    return spectrum_entropy_batch(_eigenvalues(env))
+    return _entropy(_eigenvalues(env))

@@ -54,7 +54,7 @@ REFERENCE_STATES = {
 # the identity route holds the fidelity formulas x + (1-x) a_k^2 and, for
 # the axis-2 gap F_numeric - F_paper, its predicted value 2(1-x) a2^2.
 RESIDUAL_ROUTES = {
-    "bloch_out": ("kraus.bloch_out", "closed.bloch_out"),
+    "bloch_out": ("kraus.bloch_out", "closed.b"),
     "lambda": ("kraus.lambdas", "closed.lambdas"),
     "theta": ("kraus.thetas", "closed.thetas"),
     "noise": ("kraus.noise_n", "closed.noise_n"),
@@ -124,18 +124,19 @@ def axis_routes(
     """
     channels = [make_one_pauli(axis, x) for x in grid]
     completeness = np.array([completeness_residual(ch) for ch in channels])
-    # pairs ops[i][k] of arrays of shape (G, 1), rho[k] of arrays of shape (S,)
+    # pairs ops[i][k] of arrays of shape (G, 1), rho[k] of shape (S,); x (G, 1), a (3, S)
     ops = np.moveaxis(np.array([ch.ops for ch in channels]), 0, -1)[..., None]
     rho = _pairs(np.moveaxis(np.array([bloch_to_density(a) for a in states]), 0, -1))
     x = np.array(grid)[:, None]
-    a = np.array(states)
+    a = np.array(states).T
     routes = {"completeness": completeness}
-    for name, values in measures.report_batch(ops, rho).items():
-        routes[f"kraus.{name}"] = values
-    for name, values in closedform.closed_batch(axis, x, a).items():
-        routes[f"closed.{name}"] = values
+    for route, values in (("kraus", measures.report_batch(ops, rho)),
+                          ("closed", closedform.closed_batch(axis, x, a))):
+        for name, v in values.items():  # a BlochVector or SpectrumPair: one trailing axis
+            stacked = np.stack(np.broadcast_arrays(*v), -1) if isinstance(v, tuple) else v
+            routes[f"{route}.{name}"] = stacked
     routes["oracle.noise_n"] = measures.environment_entropy_oracle_batch(ops, rho)
-    ak = a[:, axis - 1]
+    ak = a[axis - 1]
     routes["identity.fidelity"] = x + (1.0 - x) * ak * ak
     if axis is PauliAxis.SIGMA2:
         routes["identity.fidelity_gap"] = 2.0 * (1.0 - x) * ak * ak

@@ -80,8 +80,9 @@ def hermiticity_residual(m) -> float:
 
 
 def hermitian_eigenvalues_batch(m) -> np.ndarray:
-    """The eigenvalue kernel over a complex stack (..., 2, 2): spectra (..., 2)."""
-    return _eigenvalues(_pairs(np.moveaxis(m, (-2, -1), (0, 1))))
+    """The eigenvalue kernel over a complex stack (..., 2, 2): spectra (..., 2),
+    its SpectrumPair of arrays stacked along a trailing (hi, lo) axis."""
+    return np.stack(_eigenvalues(_pairs(np.moveaxis(m, (-2, -1), (0, 1)))), axis=-1)
 
 
 def matrix_of(pairs) -> np.ndarray:

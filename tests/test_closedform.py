@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,12 +126,20 @@ def test_fidelity_sigma3_noiseless():
 def test_fidelity_paper_closed_equals_closed_batch_bitwise(axis):
     grid = [i / 10 for i in range(11)]
     states = [(0.6, 0.5, 0.6), (-0.3, 0.9, 0.1), (1e-8, -1e-12, 0.7), (0, 0, 1)]
-    batch = closed_batch(axis, np.array(grid)[:, None], np.array(states, dtype=float))
-    batch = batch["fidelity_paper"]
+    batch = closed_batch(axis, np.array(grid)[:, None], np.array(states, dtype=float).T)
     scalar = np.array([[fidelity_paper_closed(axis, x, a) for a in states]
                        for x in grid])
     # bit patterns, so that 0.0 and -0.0 count as different
-    assert np.array_equal(batch.view(np.uint64), scalar.view(np.uint64))
+    assert np.array_equal(batch["fidelity_paper"].view(np.uint64), scalar.view(np.uint64))
+    # every closed_point field against its batch cell, b and the spectra
+    # stacked as verify stacks them
+    cells = {field: np.stack(np.broadcast_arrays(*v), -1) if isinstance(v, tuple) else v
+             for field, v in batch.items()}
+    for g, x in enumerate(grid):
+        for s, a in enumerate(states):
+            for field, value in asdict(closed_point(axis, x, a)).items():
+                have = np.array(value, dtype=float).tobytes()
+                assert have == cells[field][g, s].tobytes(), (field, x, a)
 
 
 def test_closed_point_noiseless_assembly():
@@ -171,7 +181,7 @@ def test_domain_validation(bad_x):
 
 def _assert_radicand_floor_raises():
     with pytest.raises(NumericError, match="negative radicand"):
-        closed_batch(3, np.array([[0.5]]), np.array([(0.1, 0.2, 0.3)]))
+        closed_batch(3, np.array([[0.5]]), np.array([(0.1, 0.2, 0.3)]).T)
     with pytest.raises(NumericError, match="negative radicand"):
         closed_point(3, 0.5, (0.1, 0.2, 0.3))
 

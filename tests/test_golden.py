@@ -8,21 +8,31 @@ The golden files in tests/golden/ hold:
   block headed by its command line;
 - sweep_sigma{1,2,3}.csv: `sweep --steps 201` for each axis at its
   verification reference input;
-- verify.txt: `verify --grid 101 --samples 100 --seed 1` stdout.
+- verify.txt: `verify --grid 101 --samples 100 --seed 1` stdout;
+- route_bits.json: the sha256 of the bytes of every route array that
+  RESIDUAL_ROUTES names, keyed by axis, residual label and side, plus the
+  completeness and kraus.coherent_c arrays, from axis_routes on an edge grid
+  (ROUTE_BITS_GRID by ROUTE_BITS_STATES). Printed output rounds; this file
+  pins every bit of the arrays behind it.
 
 Run this file as a script to rewrite the golden files from the current
 code; `git diff tests/golden` then shows every byte that changed.
 """
 
+import hashlib
 import io
+import itertools
+import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from paulinoise.channels import PauliAxis
+from paulinoise.bloch import BlochVector
+from paulinoise.channels import PauliAxis, retention_grid
 from paulinoise.cli import main
-from paulinoise.verify import REFERENCE_STATES
+from paulinoise.verify import REFERENCE_STATES, RESIDUAL_ROUTES, axis_routes, random_blochs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -77,6 +87,44 @@ def verify_bytes() -> bytes:
     return _stdout(argv).encode("ascii")
 
 
+# x at and next to 0, 1/2 and 1, between the points of an 11-step grid
+ROUTE_BITS_GRID = sorted({*retention_grid(11), 1e-9, 0.5 - 1e-9, 0.5 + 1e-9, 1.0 - 1e-9})
+# a = 0, pure states (on each axis, off every axis), 1e-12 components, and
+# quasi-random states inside the ball
+ROUTE_BITS_STATES = [
+    BlochVector(0.0, 0.0, 0.0),
+    BlochVector(1.0, 0.0, 0.0),
+    BlochVector(0.0, -1.0, 0.0),
+    BlochVector(0.0, 0.0, 1.0),
+    BlochVector(0.48, 0.6, 0.64),
+    BlochVector(1e-12, -1e-12, 1e-12),
+    BlochVector(1e-12, 0.6, -0.8),
+    *itertools.islice(random_blochs(1), 24),
+]
+
+
+def _sha256(values) -> str:
+    array = np.ascontiguousarray(values, dtype="<f8")
+    return hashlib.sha256(f"{array.shape}".encode() + array.tobytes()).hexdigest()
+
+
+def route_bits() -> dict:
+    bits = {}
+    for axis in PauliAxis:
+        routes = axis_routes(axis, ROUTE_BITS_GRID, ROUTE_BITS_STATES)
+        bits[axis.token] = {
+            "completeness": _sha256(routes["completeness"]),
+            "kraus.coherent_c": _sha256(routes["kraus.coherent_c"]),
+            **{label: [_sha256(routes[side]) for side in sides]
+               for label, sides in RESIDUAL_ROUTES.items()},
+        }
+    return bits
+
+
+def route_bits_bytes() -> bytes:
+    return (json.dumps(route_bits(), indent=1) + "\n").encode("ascii")
+
+
 def test_analyze_matches_golden():
     assert analyze_bytes() == (GOLDEN / "analyze.txt").read_bytes()
 
@@ -90,9 +138,14 @@ def test_verify_matches_golden():
     assert verify_bytes() == (GOLDEN / "verify.txt").read_bytes()
 
 
+def test_route_bits_match_golden():
+    assert route_bits() == json.loads((GOLDEN / "route_bits.json").read_bytes())
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     (GOLDEN / "analyze.txt").write_bytes(analyze_bytes())
     (GOLDEN / "verify.txt").write_bytes(verify_bytes())
+    (GOLDEN / "route_bits.json").write_bytes(route_bits_bytes())
     for axis in PauliAxis:
         _sweep_csv(axis, GOLDEN)

@@ -211,6 +211,7 @@ def _eigensystem_inputs():
 def test_eigensystem_is_orthonormal_and_rebuilds_the_state():
     rhos = _eigensystem_inputs()
     vals, vectors = measures._eigensystem_batch(_state_pairs(rhos))
+    vals = np.stack(vals, axis=-1)
     # v[s, p, b]: component b of the eigenvector of vals[s, p]
     v = np.moveaxis(np.array([[re + 1j * im for re, im in vec] for vec in vectors]), -1, 0)
     gram = np.einsum("spb,sqb->spq", v.conj(), v)
@@ -306,8 +307,8 @@ def test_full_report_runs_the_eigenvalue_kernel_three_times(monkeypatch, axis):
     assert spectra == [expected_in, rep.thetas, rep.lambdas]
 
 
-# full_report and report_batch run one contraction, so every quantity but
-# the entropies (math.log2 against np.log2) is bit-equal between them.
+# full_report runs report_batch on Python floats, so every quantity is
+# bit-equal between one point and its cell of the arrays.
 _KERNEL_RNG = np.random.default_rng(20261019)
 KERNEL_RATES = [0.0, 1e-9, 0.5, 1 - 1e-9, 1.0, *_KERNEL_RNG.random(6).tolist()]
 KERNEL_STATES = [
@@ -329,6 +330,11 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _cell(value, at):
+    """Cell at of a route value: an array, or a tuple of arrays."""
+    return [v[at] for v in value] if isinstance(value, tuple) else value[at]
+
+
 @pytest.mark.parametrize("axis", list(PauliAxis), ids=lambda axis: axis.token)
 def test_full_report_is_bit_equal_to_report_batch(axis):
     channels = [KrausChannel(axis, x) for x in KERNEL_RATES]
@@ -337,12 +343,13 @@ def test_full_report_is_bit_equal_to_report_batch(axis):
     for g, ch in enumerate(channels):
         for s, rho in enumerate(rhos):
             rep, at = full_report(ch, rho), (g, s)
-            assert _bits(rep.bloch_out) == _bits(batch["bloch_out"][at]), at
-            assert _bits(rep.lambdas) == _bits(batch["lambdas"][at]), at
-            assert _bits(rep.thetas) == _bits(batch["thetas"][at]), at
+            assert _bits(rep.bloch_out) == _bits(_cell(batch["bloch_out"], at)), at
+            assert _bits(rep.lambdas) == _bits(_cell(batch["lambdas"], at)), at
+            assert _bits(rep.thetas) == _bits(_cell(batch["thetas"], at)), at
             assert _bits(rep.fidelity_numeric) == _bits(batch["fidelity_numeric"][at]), at
-            assert abs(rep.noise_n - batch["noise_n"][at]) <= 1e-15, at
-            assert abs(rep.coherent_c - batch["coherent_c"][at]) <= 1e-15, at
+            assert _bits(rep.h_out) == _bits(batch["h_out"][at]), at
+            assert _bits(rep.noise_n) == _bits(batch["noise_n"][at]), at
+            assert _bits(rep.coherent_c) == _bits(batch["coherent_c"][at]), at
 
 
 @pytest.mark.parametrize("axis", list(PauliAxis), ids=lambda axis: axis.token)

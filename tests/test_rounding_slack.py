@@ -24,7 +24,7 @@ from paulinoise import (
     hermitian_eigenvalues_2x2,
     spectrum_entropy,
 )
-from paulinoise.linalg import spectrum_entropy_batch, split_spectrum
+from paulinoise.linalg import SpectrumPair, _entropy, split_spectrum
 
 INSIDE = 0.5e-12
 OUTSIDE = 2e-12
@@ -36,7 +36,7 @@ def _skewed(d):
 
 
 def _batch_of(spectrum):
-    return np.array([(0.5, 0.5), spectrum])
+    return SpectrumPair(*np.array([(0.5, 0.5), spectrum]).T)
 
 
 # guard -> (probe taking the distance d past the bound, error, message)
@@ -70,11 +70,11 @@ GUARDS = {
         NumericError, "exceeds 1",
     ),
     "spectrum_floor_batch": (
-        lambda d: spectrum_entropy_batch(_batch_of((1.0, -d))),
+        lambda d: _entropy(_batch_of((1.0, -d))),
         NumericError, "below",
     ),
     "spectrum_ceiling_batch": (
-        lambda d: spectrum_entropy_batch(_batch_of((1.0 + d, 0.0))),
+        lambda d: _entropy(_batch_of((1.0 + d, 0.0))),
         NumericError, "exceeds 1",
     ),
     "closed_radicand": (

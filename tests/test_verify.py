@@ -3,11 +3,12 @@
 
 Grid 11 puts x = 0, 1/2 and 1 on the grid. The Kraus route arrays must
 match full_report point by point, the closed-form and oracle arrays the
-mpmath reference (the scalar closed forms and oracle are the same kernels
-on a batch of one, so they cannot serve as a reference). The report must be
-exactly the reduction of the route arrays, and the gate must fail once one
-route drifts by 2e-10. At the domain edges every route, and full_report
-point by point, must match the reference within 1e-13.
+mpmath reference (closed_point is closed_batch on floats and the scalar
+oracle the batch oracle on a batch of one, so neither can serve as a
+reference). The report must be exactly the reduction of the route arrays,
+and the gate must fail once one route drifts by 2e-10. At the domain edges
+every route, and full_report point by point, must match the reference
+within 1e-13.
 """
 
 import dataclasses
@@ -114,7 +115,7 @@ def _scalar_point(axis, x, a):
         "kraus.noise_n": rep.noise_n,
         "kraus.coherent_c": rep.coherent_c,
         "kraus.fidelity_numeric": rep.fidelity_numeric,
-        "closed.bloch_out": ref["bloch_out"],
+        "closed.b": ref["bloch_out"],
         "closed.lambdas": ref["lambdas"],
         "closed.thetas": ref["thetas"],
         "closed.noise_n": ref["noise_n"],
@@ -297,7 +298,8 @@ def _shifted(fn, key=None):
         result = fn(*args)
         if key is None:
             return result + 2e-10
-        return {**result, key: result[key] + 2e-10}
+        # each entry of a SpectrumPair or BlochVector
+        return {**result, key: type(result[key])(*(v + 2e-10 for v in result[key]))}
 
     return wrapper
 
