@@ -81,8 +81,13 @@ def _vdot(u, v):
 
 
 def hermitian_eigenvalues_2x2(m) -> SpectrumPair:
-    """Eigenvalues of a 2x2 Hermitian matrix from outside: as_matrix, _eigenvalues."""
-    return _eigenvalues(_pairs(as_matrix(m).tolist()))
+    """Eigenvalues of a 2x2 Hermitian matrix from outside: as_matrix, then _eigenvalues
+    of it times 2^-600 or 2^600, exactly, if its largest entry is past 2^400 or 2^-400."""
+    pairs = _pairs(as_matrix(m).tolist())
+    big = max(abs(v) for pair in pairs for v in pair)
+    scale = 2.0**-600 if big > 2.0**400 else 2.0**600 if 0.0 < big < 2.0**-400 else 1.0
+    hi, lo = _eigenvalues([(re * scale, im * scale) for re, im in pairs])
+    return SpectrumPair(hi / scale, lo / scale)
 
 
 def split_spectrum(t, r, name: str):

@@ -7,8 +7,8 @@ information. The entangled fidelity sum_mu |Tr(rho A_mu)|^2 measures how
 well the channel preserves the state together with its entanglement.
 
 environment_entropy_oracle recomputes N from first principles through the
-system-environment dilation. It shares no intermediate quantities with W,
-which makes the pair a genuine two-route consistency check.
+dilation of the canonical purification sqrt(rho). It shares no intermediate
+quantity with W, which makes the pair a genuine two-route consistency check.
 
 report_batch is the one Kraus-route sequence, contraction to entropies, on
 the (re, im) pairs of the Kraus operators and of the state: Python floats in
@@ -22,6 +22,7 @@ so none depends on the BLAS kernel or on numpy's SIMD dispatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -78,16 +79,11 @@ def _kraus_contraction(ops, rho):
 
 
 def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
-    """Entropy exchange recomputed through the system-environment dilation.
-
-    The channel is realized as the isometry V psi = sum_i (A_i psi) x |i>,
-    each eigenvector of rho is pushed through V, the system is traced out,
-    and the entropy of the resulting environment state is returned. Must
-    agree with full_report's noise_n for every valid input.
-    """
-    pairs = np.array(_checked_density(rho)[1])[..., None]
-    ops = np.array(ch.ops)[..., None, None]
-    return float(environment_entropy_oracle_batch(ops, pairs)[0, 0])
+    """Entropy exchange recomputed through the system-environment dilation
+    V psi = sum_i (A_i psi) x |i> of the canonical purification of rho, by the
+    columns of sqrt(rho): environment_entropy_oracle_batch on Python floats.
+    Must agree with full_report's noise_n for every valid input."""
+    return float(environment_entropy_oracle_batch(ch.ops, _checked_density(rho)[1]))
 
 
 def full_report(ch: KrausChannel, rho) -> ChannelReport:
@@ -136,47 +132,22 @@ def report_batch(ops, rho) -> dict:
     }
 
 
-def _eigensystem_batch(rho):
-    """Closed-form spectral decomposition of 2x2 Hermitian matrices given as
-    their four row-major (re, im) pairs of arrays of shape (S,): the spectra,
-    a SpectrumPair of arrays of shape (S,), and the eigenvectors (v_hi, v_lo),
-    each two (re, im) component pairs of arrays of shape (S,).
-
-    The top eigenvector comes from the better-conditioned of the two
-    analytic expressions; the second is its exact orthogonal complement,
-    so the pair stays orthonormal even for nearly degenerate spectra.
-    Within a hair of exact degeneracy (a gap of 1e-13 or less) the standard
-    basis, ordered by the diagonal, rebuilds the matrix to half the gap.
-    """
-    (r00, _), (r01, i01), _, (r11, _) = rho
-    vals = _eigenvalues(rho)
-    hi, lo = vals
-    v1 = r01, i01, hi - r00, 0.0  # two eigenvectors of hi as (re, im, re, im)
-    v2 = hi - r11, 0.0, r01, -i01
-    n1, n2 = (sum(c * c for c in v) for v in (v1, v2))
-    first = n1 >= n2
-    degenerate = hi - lo <= 1e-13
-    norm = np.sqrt(np.where(degenerate, 1.0, np.where(first, n1, n2)))
-    ar, ai, br, bi = (np.where(degenerate, e, np.where(first, c1, c2) / norm)
-                      for e, c1, c2 in zip((r00 >= r11, 0.0, r00 < r11, 0.0), v1, v2))
-    return vals, (((ar, ai), (br, bi)), ((-br, bi), (ar, -ai)))
-
-
 def environment_entropy_oracle_batch(ops, rho) -> np.ndarray:
-    """environment_entropy_oracle for every broadcast (channel, state) cell,
-    through its own dilation: each eigenvector v of rho is pushed through
-    V v = sum_e (A_e v) x |e>, the system is traced out, and the entropy of
-    the environment state is returned; ops as report_batch takes them, and
-    rho as _eigensystem_batch does."""
-    probs, vectors = _eigensystem_batch(rho)
-    # the weight p of each image below, clamped so rounding zeros drop out
-    probs = np.array(probs)
-    weights = np.repeat(np.where(probs > 0.0, probs, 0.0), 2, axis=0)
-    # images[e] = (A_e v_p)_a over (p, a): row a of A_e against v_p, passed
-    # conjugated since _vdot conjugates its first argument
-    conj_vectors = [[(re, -im) for re, im in v] for v in vectors]
-    images = [[_vdot(v, op[a:a + 2]) for v in conj_vectors for a in (0, 2)] for op in ops]
-    weighted = [[(w * re, w * im) for w, (re, im) in zip(weights, img)] for img in images]
-    # env_ef = sum_p p <A_f v_p|A_e v_p>: the system traced out
-    env = [_vdot(images[f], weighted[e]) for e in (0, 1) for f in (0, 1)]
+    """environment_entropy_oracle for every broadcast (channel, state) cell: the columns
+    m_k of sqrt(rho) = (rho + sI)/t, s = sqrt(det rho), t = sqrt(tr rho + 2s) (Cayley-Hamilton),
+    go through V m = sum_e (A_e m) x |e>, and the entropy of the environment state left by
+    tracing out the system is returned; ops and rho as report_batch takes them."""
+    (r00, _), (r01, i01), (r10, i10), (r11, _) = rho
+    # det rho floored at 0, which moves the rebuilt state by at most |det|
+    det = r00 * r11 - (r01 * r10 - i01 * i10)
+    root = sqrt if type(det) is float else np.sqrt
+    s = root(np.maximum(det, 0.0))
+    t = root(r00 + r11 + 2.0 * s)
+    # the columns m_k, conjugated since _vdot conjugates its first argument
+    columns = ((((r00 + s) / t, 0.0), (r10 / t, -i10 / t)),
+               ((r01 / t, -i01 / t), ((r11 + s) / t, 0.0)))
+    # images[e] = (A_e m_k)_a over (k, a): row a of A_e against m_k
+    images = [[_vdot(m, op[a:a + 2]) for m in columns for a in (0, 2)] for op in ops]
+    # env_ef = sum_k <A_f m_k|A_e m_k>: the system traced out
+    env = [_vdot(images[f], images[e]) for e in (0, 1) for f in (0, 1)]
     return _entropy(_eigenvalues(env))

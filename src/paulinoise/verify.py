@@ -88,7 +88,7 @@ class AxisVerification:
     @property
     def passed(self) -> bool:
         return (
-            max(self.residuals.values()) <= RESIDUAL_LIMIT
+            all(r <= RESIDUAL_LIMIT for r in self.residuals.values())
             and self.completeness_max <= COMPLETENESS_TOL
         )
 

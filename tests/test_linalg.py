@@ -56,6 +56,29 @@ def test_eigenvalues_sigma3():
     assert hermitian_eigenvalues_2x2(SIGMA3) == SpectrumPair(1.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "m, expected",
+    [
+        ([[1e200, 0], [0, 0]], (1e200, 0.0)),
+        ([[1e154, 1e154], [1e154, 1e154]], (2e154, 0.0)),
+        ([[1e200, 0], [0, -1e200]], (1e200, -1e200)),
+        ([[1e-200, 0], [0, 0]], (1e-200, 0.0)),
+        ([[0, 1e-200j], [-1e-200j, 0]], (1e-200, -1e-200)),
+        ([[5e-324, 0], [0, 0]], (5e-324, 0.0)),
+    ],
+    ids=["1e200", "1e154", "1e200-split", "1e-200", "1e-200-imag", "subnormal"],
+)
+def test_eigenvalues_of_large_and_tiny_entries_are_exact(m, expected):
+    # unscaled, the squared gap overflows (inf, -inf) or underflows to 0,
+    # which splits [[1e-200, 0], [0, 0]] into (5e-201, 5e-201)
+    assert hermitian_eigenvalues_2x2(m) == SpectrumPair(*expected)
+
+
+def test_eigenvalues_of_large_entries_keep_the_hermiticity_guard():
+    with pytest.raises(ValidationError):
+        hermitian_eigenvalues_2x2([[1e200, 1e200], [0, 0]])
+
+
 def test_eigenvalues_reject_non_hermitian():
     with pytest.raises(ValidationError):
         hermitian_eigenvalues_2x2(np.array([[0, 1], [0, 0]]))

@@ -1,4 +1,3 @@
-import itertools
 from dataclasses import asdict
 
 import numpy as np
@@ -29,7 +28,6 @@ from paulinoise.measures import (
     environment_entropy_oracle_batch,
     report_batch,
 )
-from paulinoise.verify import random_blochs
 
 # binary entropy of (1 + sqrt(0.97))/2, evaluated with 50-digit arithmetic;
 # the input entropy of every reference state used below
@@ -195,35 +193,33 @@ def test_oracle_survives_nearly_degenerate_input():
     )
 
 
-def _eigensystem_inputs():
-    """a = 0; |a| around the 1e-13 degeneracy cut on and off the axes;
-    components of 1e-12 and 1e-8; pure states on and off each axis; and
-    seeded states."""
-    states = [(0.0, 0.0, 0.0)]
-    directions = np.array([*np.eye(3), *-np.eye(3), np.ones(3) / np.sqrt(3), (0.6, -0.8, 0)])
-    states += [r * d for r in (1e-14, 1e-13, 2e-13) for d in directions]
-    states += itertools.product((0.0, 1e-12, -1e-12, 1e-8, -1e-8), repeat=3)
-    states += [*directions, (0.48, 0.6, -0.64), (0.0, 0.6, 0.8)]
-    states += itertools.islice(random_blochs(5), 100)
-    return np.array([_rho(a) for a in states])
+# the rates and Bloch radii of the oracle's edge test: |a| within 2e-13 of the
+# maximally mixed state, pure, and within 1e-16 or 1e-12 of pure
+ORACLE_EDGE_X = (0.0, 1e-12, 0.5 - 1e-9, 0.5 + 1e-9, 1.0 - 1e-9, 1.0)
+ORACLE_EDGE_RADII = (1e-15, 5e-14, 1e-13, 2e-13, 1.0, 1.0 - 1e-16, 1.0 - 1e-12)
 
 
-def test_eigensystem_is_orthonormal_and_rebuilds_the_state():
-    rhos = _eigensystem_inputs()
-    vals, vectors = measures._eigensystem_batch(_state_pairs(rhos))
-    vals = np.stack(vals, axis=-1)
-    # v[s, p, b]: component b of the eigenvector of vals[s, p]
-    v = np.moveaxis(np.array([[re + 1j * im for re, im in vec] for vec in vectors]), -1, 0)
-    gram = np.einsum("spb,sqb->spq", v.conj(), v)
-    assert np.abs(gram - np.eye(2)).max() <= 1e-15
-    rebuilt = np.einsum("sp,spa,spb->sab", vals, v, v.conj())
-    gap = vals[:, 0] - vals[:, 1]
-    degenerate = gap <= 1e-13
-    # inside the cut the standard basis stands in, off by at most half the gap
-    tol = np.where(degenerate, gap / 2, 0.0) + 1e-15
-    assert (np.abs(rebuilt - rhos).max(axis=(1, 2)) <= tol).all()
-    basis = np.abs(v[degenerate])
-    assert degenerate.sum() > 1 and ((basis == 0.0) | (basis == 1.0)).all()
+def _oracle_edge_states(axis):
+    """Each radius along the channel axis, both ways, and off it: along the
+    next axis and along two directions that mix the axes."""
+    along = np.eye(3)[axis - 1]
+    directions = (along, -along, np.roll(along, 1), np.array([0.6, -0.8, 0.0]),
+                  np.ones(3) / np.sqrt(3))
+    return [r * d for r in ORACLE_EDGE_RADII for d in directions]
+
+
+@pytest.mark.parametrize("axis", list(PauliAxis), ids=lambda axis: axis.token)
+def test_oracle_matches_reference_near_mixed_and_pure_states(axis):
+    states = _oracle_edge_states(axis)
+    channels = [KrausChannel(axis, x) for x in ORACLE_EDGE_X]
+    have = environment_entropy_oracle_batch(
+        _ops_pairs(channels), _state_pairs([_rho(a) for a in states])
+    )
+    want = np.array([[float(reference().point(axis, x, a)["noise_n"]) for a in states]
+                     for x in ORACLE_EDGE_X])
+    error = np.abs(have - want)
+    g, s = np.unravel_index(np.argmax(error), error.shape)
+    assert error[g, s] <= 1e-14, (ORACLE_EDGE_X[g], states[s], have[g, s], want[g, s])
 
 
 def test_full_report_noiseless_endpoint():

@@ -86,9 +86,9 @@ def _plant(tree: ast.Module, function: str | None, statement: str) -> ast.Module
     [
         (closedform, "closed_batch", "from .channels import make_one_pauli",
          KRAUS_NAMES, None, {"make_one_pauli"}),
-        # reached from the oracle only through environment_entropy_oracle_batch
-        (measures, "_eigensystem_batch", "_kraus_contraction(kraus, rhos)",
-         EXCHANGE_NAMES, ORACLE_ROOTS, {"_kraus_contraction"}),
+        # reached from the scalar oracle only through the call to its batch kernel
+        (measures, "environment_entropy_oracle_batch", "_kraus_contraction(kraus, rhos)",
+         EXCHANGE_NAMES, ("environment_entropy_oracle",), {"_kraus_contraction"}),
     ],
     ids=["closed-route", "oracle"],
 )

@@ -4,11 +4,11 @@
 Grid 11 puts x = 0, 1/2 and 1 on the grid. The Kraus route arrays must
 match full_report point by point, the closed-form and oracle arrays the
 mpmath reference (closed_point is closed_batch on floats and the scalar
-oracle the batch oracle on a batch of one, so neither can serve as a
+oracle the batch oracle on Python floats, so neither can serve as a
 reference). The report must be exactly the reduction of the route arrays,
-and the gate must fail once one route drifts by 2e-10. At the domain edges
-every route, and full_report point by point, must match the reference
-within 1e-13.
+and the gate must fail once one route drifts by 2e-10 or a residual is
+NaN. At the domain edges every route, and full_report point by point, must
+match the reference within 1e-13.
 """
 
 import dataclasses
@@ -317,6 +317,22 @@ def test_gate_fails_on_route_drift(monkeypatch, capsys, module, name, key):
     rc = main(["verify", "--grid", str(GRID), "--samples", str(SAMPLES), "--seed", "1"])
     assert rc == 2
     assert "result: FAIL" in capsys.readouterr().out
+
+
+def test_gate_fails_on_a_nan_residual(monkeypatch, capsys):
+    # max over the residuals skips a NaN unless it comes first, and "noise"
+    # is the fourth residual of every axis
+    def with_nan(axis, grid, states):
+        routes = axis_routes(axis, grid, states)
+        routes["closed.noise_n"][0, 0] = np.nan
+        return routes
+
+    monkeypatch.setattr(verify, "axis_routes", with_nan)
+    rc = main(["verify", "--grid", "5", "--samples", "3"])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert out.count("  residual noise              = nan") == 3
+    assert "result: FAIL (max cross-path residual nan, limit 1e-10)" in out
 
 
 def test_incomplete_kraus_stack_fails_the_gate(monkeypatch, capsys):
