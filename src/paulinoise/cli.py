@@ -192,22 +192,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    channels = [axis.token for axis in PauliAxis]
+    point = argparse.ArgumentParser(add_help=False)  # analyze's and sweep's leading flags
+    point.add_argument("--channel", required=True, choices=[axis.token for axis in PauliAxis])
+    point.add_argument("--bloch", required=True, metavar="a1,a2,a3")
 
-    analyze = sub.add_parser("analyze", help="report every measure at one point")
-    analyze.add_argument("--channel", required=True, choices=channels)
-    analyze.add_argument("--bloch", required=True, metavar="a1,a2,a3")
+    analyze = sub.add_parser("analyze", parents=[point],
+                             help="report every measure at one point")
     analyze.add_argument("--x", required=True, type=float)
-    analyze.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    analyze.set_defaults(func=cmd_analyze)
 
-    sweep = sub.add_parser("sweep", help="sweep x over [0, 1] and write CSV")
-    sweep.add_argument("--channel", required=True, choices=channels)
-    sweep.add_argument("--bloch", required=True, metavar="a1,a2,a3")
+    sweep = sub.add_parser("sweep", parents=[point], help="sweep x over [0, 1] and write CSV")
     sweep.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    sweep.set_defaults(func=cmd_sweep)
+    for command, func in ((analyze, cmd_analyze), (sweep, cmd_sweep)):
+        command.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+        command.set_defaults(func=func)
 
     verify = sub.add_parser(
         "verify", help="cross-validate closed forms against the Kraus path"

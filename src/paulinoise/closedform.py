@@ -3,12 +3,12 @@
 These are transcriptions of the published closed forms, not re-derivations,
 so that the generic Kraus path can cross-validate them and any typo in the
 source formulas surfaces as a residual instead of being silently corrected.
-closed_batch evaluates them on Python floats at one point, which is
-closed_point, or over a grid of retention rates and a set of Bloch vectors
-as arrays that broadcast, with one body; fidelity_paper_closed is its
-fidelity alone. The lambda and theta spectra are linalg.split_spectrum of
-their radicands, the split and floor the eigenvalue kernel uses, and the
-entropies linalg._entropy's.
+closed_batch evaluates them with one body on Python floats at one point,
+which is closed_point, the one entry that validates its point, or over a
+grid of retention rates and a set of Bloch vectors as arrays that broadcast;
+fidelity_paper_closed is closed_point's fidelity_paper. The lambda and theta
+spectra are linalg.split_spectrum of their radicands, the split and floor
+the eigenvalue kernel uses, and the entropies linalg._entropy's.
 The known case is the axis-2 fidelity, whose printed sign disagrees with
 the trace-form definition; see fidelity_paper_closed.
 """
@@ -43,10 +43,6 @@ class ClosedFormPoint:
     fidelity_paper: float
 
 
-def _domain(axis, x, a) -> tuple[PauliAxis, float, BlochVector]:
-    return as_axis(axis), check_retention(x), check_bloch(a)
-
-
 def _lambda_radicand(x, ak):
     """1 - 4x(x-1)(a_k^2 - 1) as u u + 4x(1-x) a_k^2, u = 2x-1, which keeps a
     tiny radicand (x near 1/2, tiny a_k) accurate; floats or arrays."""
@@ -76,14 +72,13 @@ def fidelity_paper_closed(axis, x, a) -> float:
     fidelity_numeric carries the trace-form value and both are reported
     side by side so the discrepancy stays visible.
     """
-    axis, x, a = _domain(axis, x, a)
-    return _fidelity_paper(axis, x, a[axis - 1])
+    return closed_point(axis, x, a).fidelity_paper
 
 
 def closed_point(axis, x, a) -> ClosedFormPoint:
     """Every closed-form quantity at one operating point: closed_batch on
     Python floats, after validating the point."""
-    return ClosedFormPoint(**closed_batch(*_domain(axis, x, a)))
+    return ClosedFormPoint(**closed_batch(as_axis(axis), check_retention(x), check_bloch(a)))
 
 
 def closed_batch(axis: PauliAxis, x, a) -> dict:

@@ -22,7 +22,6 @@ so none depends on the BLAS kernel or on numpy's SIMD dispatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
@@ -81,7 +80,7 @@ def _kraus_contraction(ops, rho):
 def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
     """Entropy exchange recomputed through the system-environment dilation
     V psi = sum_i (A_i psi) x |i> of the canonical purification of rho, by the
-    columns of sqrt(rho): environment_entropy_oracle_batch on Python floats.
+    columns of sqrt(rho): environment_entropy_oracle_batch on numpy scalars.
     Must agree with full_report's noise_n for every valid input."""
     return float(environment_entropy_oracle_batch(ch.ops, _checked_density(rho)[1]))
 
@@ -140,9 +139,8 @@ def environment_entropy_oracle_batch(ops, rho) -> np.ndarray:
     (r00, _), (r01, i01), (r10, i10), (r11, _) = rho
     # det rho floored at 0, which moves the rebuilt state by at most |det|
     det = r00 * r11 - (r01 * r10 - i01 * i10)
-    root = sqrt if type(det) is float else np.sqrt
-    s = root(np.maximum(det, 0.0))
-    t = root(r00 + r11 + 2.0 * s)
+    s = np.sqrt(np.maximum(det, 0.0))
+    t = np.sqrt(r00 + r11 + 2.0 * s)
     # the columns m_k, conjugated since _vdot conjugates its first argument
     columns = ((((r00 + s) / t, 0.0), (r10 / t, -i10 / t)),
                ((r01 / t, -i01 / t), ((r11 + s) / t, 0.0)))

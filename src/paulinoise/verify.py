@@ -138,10 +138,8 @@ def axis_routes(
     routes["oracle.noise_n"] = measures.environment_entropy_oracle_batch(ops, rho)
     ak = a[axis - 1]
     routes["identity.fidelity"] = x + (1.0 - x) * ak * ak
-    if axis is PauliAxis.SIGMA2:
-        routes["identity.fidelity_gap"] = 2.0 * (1.0 - x) * ak * ak
-    else:
-        routes["identity.fidelity_gap"] = np.zeros((len(grid), len(states)))
+    gap_scale = 2.0 if axis is PauliAxis.SIGMA2 else 0.0  # +0.0 in every cell off axis 2
+    routes["identity.fidelity_gap"] = gap_scale * (1.0 - x) * ak * ak
     routes["fidelity_gap"] = (
         routes["kraus.fidelity_numeric"] - routes["closed.fidelity_paper"]
     )

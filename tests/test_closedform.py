@@ -1,4 +1,5 @@
 from dataclasses import asdict
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from paulinoise import (
 )
 from paulinoise import NumericError, closedform
 from paulinoise.closedform import closed_batch
+from paulinoise.linalg import ROUNDING_TOL
 
 H_REF = 0.06412343509793366        # binary entropy of (1 + sqrt(0.97))/2
 H_THREE_QUARTERS = 0.8112781244591328
@@ -124,8 +126,13 @@ def test_fidelity_sigma3_noiseless():
 
 @pytest.mark.parametrize("axis", list(PauliAxis), ids=lambda axis: axis.token)
 def test_fidelity_paper_closed_equals_closed_batch_bitwise(axis):
-    grid = [i / 10 for i in range(11)]
+    grid = [0.0, 1e-9] + [i / 10 for i in range(1, 11)]
     states = [(0.6, 0.5, 0.6), (-0.3, 0.9, 0.1), (1e-8, -1e-12, 0.7), (0, 0, 1)]
+    # |a|^2 = 1 + ROUNDING_TOL exactly, the Bloch-norm slack, on the channel
+    # axis both ways and off it: closed_point's spectra must not raise there
+    edge = sqrt(1.0 + ROUNDING_TOL)
+    for slack_state in ((edge, 0.0, 0.0), (-edge, 0.0, 0.0), (0.0, 0.6 * edge, 0.8 * edge)):
+        states.append(tuple(np.roll(slack_state, axis - 1)))
     batch = closed_batch(axis, np.array(grid)[:, None], np.array(states, dtype=float).T)
     scalar = np.array([[fidelity_paper_closed(axis, x, a) for a in states]
                        for x in grid])

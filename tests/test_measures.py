@@ -268,7 +268,8 @@ def test_full_report_validates_once(monkeypatch, axis):
     # check_density coerces rho once; the matrices full_report builds from
     # it, and the closed-form F_paper, skip every further coercion
     ch, rho = make_one_pauli(axis, 0.3), _rho((0.5, 0.6, 0.6))
-    calls = {"as_matrix": 0, "_domain": 0}
+    validators = ("as_axis", "check_retention", "check_bloch")
+    calls = {"as_matrix": 0, **dict.fromkeys(validators, 0)}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -281,9 +282,10 @@ def test_full_report_validates_once(monkeypatch, axis):
 
     counted(linalg, "as_matrix")
     monkeypatch.setattr(bloch, "as_matrix", linalg.as_matrix)
-    counted(closedform, "_domain")
+    for name in validators:  # the point validation closed_point runs
+        counted(closedform, name)
     full_report(ch, rho)
-    assert calls == {"as_matrix": 1, "_domain": 0}
+    assert calls == {"as_matrix": 1, **dict.fromkeys(validators, 0)}
 
 
 @pytest.mark.parametrize("axis", [1, 2, 3])

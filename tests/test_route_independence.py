@@ -4,7 +4,8 @@ Kraus route, checked on the source.
 The closed route may not name a Kraus operator or the measures module
 anywhere in closedform.py. The oracle functions, and every function of
 measures.py they call, may not name the exchange matrix or the batched
-Kraus route.
+Kraus route. What each of the two routes names of the modules all three
+share (linalg, bloch, channels) is pinned to a written allowlist.
 """
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from paulinoise import closedform, measures
+from paulinoise import bloch, channels, closedform, linalg, measures
 
 KRAUS_NAMES = {"kraus", "ops", "KrausChannel", "make_one_pauli", "measures"}
 EXCHANGE_NAMES = {"_w_entries", "_kraus_contraction", "w_matrix", "report_batch"}
@@ -59,6 +60,64 @@ def forbidden_names(tree: ast.Module, forbidden: set[str], roots=None) -> set[st
         used |= names
         todo.extend(names & functions.keys())
     return used & forbidden
+
+
+def _defined(module) -> set[str]:
+    """The names module binds at its top level: functions, classes and
+    assigned constants, not the names it imports."""
+    names = set()
+    for node in _tree(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= set().union(*map(_names, node.targets))
+    return names
+
+
+SHARED_NAMES = _defined(linalg) | _defined(bloch) | _defined(channels)
+
+# The independence rule: which shared primitives an independent route may
+# name. A guard or product (a validator, a record type, an input the route
+# reads) hides nothing. A shared formula computes part of the result the
+# same way on both sides, so a digit it loses is lost by every route alike
+# and no residual shows it. Changing what a route shares means editing
+# this list on purpose.
+GUARD_OR_PRODUCT, SHARED_FORMULA = "guard or product", "shared formula"
+ALLOWED_SHARED = {
+    "closed": {
+        "PauliAxis": GUARD_OR_PRODUCT,
+        "as_axis": GUARD_OR_PRODUCT,
+        "check_retention": GUARD_OR_PRODUCT,
+        "BlochVector": GUARD_OR_PRODUCT,
+        "check_bloch": GUARD_OR_PRODUCT,
+        "SpectrumPair": GUARD_OR_PRODUCT,
+        # (t - sqrt(r))/2 with r ~ 1 near x = 0 or 1 and for pure outputs:
+        # the cancelling split every route takes, which hides the edge errors
+        "split_spectrum": SHARED_FORMULA,
+        "_entropy": SHARED_FORMULA,
+    },
+    "oracle": {
+        "KrausChannel": GUARD_OR_PRODUCT,
+        "_checked_density": GUARD_OR_PRODUCT,
+        "_vdot": SHARED_FORMULA,
+        # split_spectrum's split, on the environment state
+        "_eigenvalues": SHARED_FORMULA,
+        "_entropy": SHARED_FORMULA,
+    },
+}
+ROUTES = {"closed": (closedform, None), "oracle": (measures, ORACLE_ROOTS)}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_route_shares_only_the_allowed_primitives(route):
+    module, roots = ROUTES[route]
+    assert forbidden_names(_tree(module), SHARED_NAMES, roots) == ALLOWED_SHARED[route].keys()
+
+
+def test_allowlist_check_finds_a_new_shared_primitive():
+    tree = _plant(_tree(closedform), "closed_batch", "hermitian_eigenvalues_2x2(m)")
+    found = forbidden_names(tree, SHARED_NAMES)
+    assert found - ALLOWED_SHARED["closed"].keys() == {"hermitian_eigenvalues_2x2"}
 
 
 def test_closed_route_names_no_kraus_quantity():
