@@ -63,13 +63,19 @@ def parse_bloch(text: str) -> BlochVector:
     return check_bloch(components)
 
 
+def _density_pairs(a1, a2, a3):
+    """The row-major (re, im) pairs of (I + a . sigma)/2 = [[1 + a3, a1 - i a2], [a1 + i a2,
+    1 - a3]]/2, of numbers or arrays that broadcast. Integer constants only: each zero is
+    +0.0, as from the Pauli sum, and Fraction or Decimal components stay exact."""
+    zero = a3 - a3
+    return [((1 + a3) / 2, zero), ((a1 + 0) / 2, (0 - a2) / 2),
+            ((a1 + 0) / 2, (a2 + 0) / 2), ((1 - a3) / 2, zero)]
+
+
 def bloch_to_density(a) -> np.ndarray:
-    """(I + a . sigma) / 2 = [[1 + a3, a1 - i a2], [a1 + i a2, 1 - a3]] / 2 for a
-    Bloch vector a; each + 0.0 makes a zero +0.0, as the Pauli sum does."""
-    a1, a2, a3 = check_bloch(a)
-    re = a1 + 0.0
-    return np.array([[1.0 + a3, complex(re, 0.0 - a2)],
-                     [complex(re, a2 + 0.0), 1.0 - a3]]) / 2.0
+    """The 2x2 complex matrix of _density_pairs of a Bloch vector, after check_bloch."""
+    pairs = _density_pairs(*check_bloch(a))
+    return np.array([complex(*z) for z in pairs]).reshape(2, 2)
 
 
 def _checked_density(rho):

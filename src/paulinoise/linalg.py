@@ -72,8 +72,8 @@ def _pairs(m):
 
 
 def _vdot(u, v):
-    """sum_k conj(u_k) v_k of two sequences of pairs, summed from 0 in order."""
-    re = im = 0.0
+    """sum_k conj(u_k) v_k of two sequences of pairs, summed in order from the integer 0."""
+    re = im = 0
     for (ur, ui), (vr, vi) in zip(u, v):
         re = re + (ur * vr + ui * vi)
         im = im + (ur * vi - ui * vr)

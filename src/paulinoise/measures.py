@@ -114,7 +114,7 @@ def report_batch(ops, rho) -> dict:
     """The full_report measures bloch_out (a BlochVector), thetas and lambdas
     (SpectrumPairs), h_out, noise_n, coherent_c and fidelity_numeric, of floats
     or of arrays, from the pairs _kraus_contraction reads; the ops are valid
-    from KrausChannel, the state from check_density or bloch_to_density."""
+    from KrausChannel, the state from check_density or _density_pairs."""
     out, w, fidelity, bloch_out = _kraus_contraction(ops, rho)
     thetas = _eigenvalues(out)
     h_out = _entropy(thetas)

@@ -20,7 +20,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from . import closedform, measures
-from .bloch import BlochVector, bloch_to_density
+from .bloch import BlochVector, _density_pairs
 from .channels import (
     COMPLETENESS_TOL,
     PauliAxis,
@@ -29,7 +29,6 @@ from .channels import (
     make_one_pauli,
     retention_grid,
 )
-from .linalg import _pairs
 
 # Largest cross-route residual a passing verification allows. It also
 # separates C > 0 from C ~ 0 in the sign counts: at x = 1/2, C = 0 exactly
@@ -118,17 +117,17 @@ def axis_routes(
     RESIDUAL_ROUTES, with leading shape (G, S) over the retention rates in
     grid and the Bloch vectors in states; "completeness" has shape (G,).
 
-    Inputs are valid by construction: each channel checks its axis and x,
-    and bloch_to_density checks each Bloch vector. Completeness is measured
-    here and gated by AxisVerification.passed.
+    Inputs are valid by construction: each channel checks its axis and x, and the
+    states were drawn inside the ball, so _density_pairs takes them unchecked.
+    Completeness is measured here and gated by AxisVerification.passed.
     """
     channels = [make_one_pauli(axis, x) for x in grid]
     completeness = np.array([completeness_residual(ch) for ch in channels])
     # pairs ops[i][k] of arrays of shape (G, 1), rho[k] of shape (S,); x (G, 1), a (3, S)
     ops = np.moveaxis(np.array([ch.ops for ch in channels]), 0, -1)[..., None]
-    rho = _pairs(np.moveaxis(np.array([bloch_to_density(a) for a in states]), 0, -1))
     x = np.array(grid)[:, None]
     a = np.array(states).T
+    rho = _density_pairs(*a)
     routes = {"completeness": completeness}
     for route, values in (("kraus", measures.report_batch(ops, rho)),
                           ("closed", closedform.closed_batch(axis, x, a))):

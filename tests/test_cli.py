@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from paulinoise import ValidationError, cli
@@ -335,7 +336,9 @@ def test_largest_precision_formats():
     assert format_value(0.5, _check_precision(2**31 - 1)) == "0.5"
 
 
-@pytest.mark.parametrize("precision", [2.5, True, "x"])
+@pytest.mark.parametrize(
+    "precision", [2.5, True, pytest.param(np.True_, id="numpy-bool"), "x"]
+)
 def test_precision_must_be_an_integer(precision):
     with pytest.raises(
         ValidationError, match=r"^precision must be an integer, got "

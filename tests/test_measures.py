@@ -1,4 +1,5 @@
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,27 @@ def test_w_matrix_invariants(axis, x, a):
     assert hermiticity_residual(w) <= 1e-12
     assert np.trace(w).real == pytest.approx(1.0, abs=1e-13)
     assert hermitian_eigenvalues_2x2(w).lo >= -1e-12
+
+
+# The entries of I and, by axis, of sigma1, -i sigma2 and sigma3, as integers.
+_INT_KEEP = (1, 0, 0, 1)
+_INT_FLIPS = {1: (0, 1, 1, 0), 2: (0, -1, 1, 0), 3: (1, 0, 0, -1)}
+
+
+@pytest.mark.parametrize("axis", [1, 2, 3])
+def test_kraus_contraction_is_exact_on_fractions(axis):
+    # x = 9/25 has sqrt(x) = 3/5 and sqrt(1 - x) = 4/5, so every operand is rational
+    x, a = Fraction(9, 25), (Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5))
+    scaled = ((Fraction(3, 5), _INT_KEEP), (Fraction(4, 5), _INT_FLIPS[axis]))
+    ops = [[(s * e, Fraction(0)) for e in entries] for s, entries in scaled]
+    out, w, fidelity, bloch_out = _kraus_contraction(ops, bloch._density_pairs(*a))
+    assert all(type(v) is Fraction for pair in out + w for v in pair)
+    assert type(fidelity) is Fraction
+    assert bloch_out == tuple(
+        a_i if i == axis else (2 * x - 1) * a_i for i, a_i in enumerate(a, 1)
+    )
+    assert all(type(b) is Fraction for b in bloch_out)
+    assert fidelity == x + (1 - x) * a[axis - 1] ** 2
 
 
 def test_entropy_exchange_noiseless():

@@ -374,15 +374,19 @@ def test_axis_record_residuals_are_read_only():
     [
         (lambda: retention_grid(2.5), "grid must be an integer, got 2.5"),
         (lambda: retention_grid("5"), "grid must be an integer, got '5'"),
+        (lambda: retention_grid(np.True_), f"grid must be an integer, got {np.True_!r}"),
         (lambda: run_verification(3.0, 2, 1), "grid must be an integer, got 3.0"),
         (lambda: run_verification(3, 2.0, 1), "samples must be an integer, got 2.0"),
+        (lambda: run_verification(3, np.True_, 1),
+         f"samples must be an integer, got {np.True_!r}"),
         (lambda: run_verification(3, 2, 1.5), "seed must be an integer, got 1.5"),
         (lambda: run_verification(3, 2, True), "seed must be an integer, got True"),
         (lambda: retention_grid(1), "grid must be >= 2, got 1"),
         (lambda: run_verification(3, 0, 1), "samples must be >= 1, got 0"),
         (lambda: run_verification(3, 2, -1), "seed must be >= 0, got -1"),
     ],
-    ids=["grid-float", "grid-str", "verify-grid", "samples", "seed", "seed-bool",
+    ids=["grid-float", "grid-str", "grid-numpy-bool", "verify-grid", "samples",
+         "samples-numpy-bool", "seed", "seed-bool",
          "grid-range", "samples-range", "seed-range"],
 )
 def test_integer_arguments_are_validated(call, message):
