@@ -39,7 +39,7 @@ from .measures import (
     full_report,
 )
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 __all__ = [
     "BlochVector",

@@ -10,8 +10,6 @@ from __future__ import annotations
 from math import isfinite, sqrt
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ValidationError
 from .linalg import ROUNDING_TOL, _eigenvalues, _pairs, as_matrix, as_real
 
@@ -72,8 +70,9 @@ def _density_pairs(a1, a2, a3):
             ((a1 + 0) / 2, (a2 + 0) / 2), ((1 - a3) / 2, zero)]
 
 
-def bloch_to_density(a) -> np.ndarray:
-    """The 2x2 complex matrix of _density_pairs of a Bloch vector, after check_bloch."""
+def bloch_to_density(a):
+    """The 2x2 complex ndarray of _density_pairs of a Bloch vector, after check_bloch."""
+    import numpy as np
     pairs = _density_pairs(*check_bloch(a))
     return np.array([complex(*z) for z in pairs]).reshape(2, 2)
 
@@ -95,7 +94,7 @@ def _checked_density(rho):
     return rho, pairs, spectrum
 
 
-def check_density(rho) -> np.ndarray:
+def check_density(rho):
     """Validate Hermiticity (inside the eigenvalue kernel), unit trace and
-    positivity of a 2x2 state."""
+    positivity of a 2x2 state; return it as as_matrix's complex ndarray."""
     return _checked_density(rho)[0]

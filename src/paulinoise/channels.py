@@ -17,9 +17,10 @@ import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
 from math import hypot, isfinite, sqrt
+from numbers import Integral
 
 from .errors import ValidationError
-from .linalg import _BOOLS, _vdot, as_real
+from .linalg import _vdot, as_real
 
 COMPLETENESS_TOL = 1e-13
 
@@ -55,8 +56,8 @@ def as_axis(value) -> PauliAxis:
                 f"unknown channel {value!r}, expected sigma1, sigma2 or sigma3"
             ) from None
     try:
-        if isinstance(value, _BOOLS):
-            raise TypeError("a bool is not an axis")
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise TypeError("not an integer")
         return PauliAxis(operator.index(value))
     except (TypeError, ValueError):
         raise ValidationError(f"axis must be 1, 2 or 3, got {value!r}") from None
@@ -74,11 +75,11 @@ def check_retention(x) -> float:
 
 
 def as_count(value, name: str, minimum: int) -> int:
-    """Coerce an integer argument of at least minimum; bools and
-    non-integral numbers fail."""
+    """Coerce an integer argument (numbers.Integral, not a bool) of at least
+    minimum; numpy bools, which join no numbers ABC, and non-integers fail."""
     try:
-        if isinstance(value, _BOOLS):
-            raise TypeError("a bool is not a count")
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise TypeError("not an integer")
         count = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None

@@ -8,6 +8,7 @@ as its four row-major (re, im) pairs; its guards and the split
 complex product, Re(m01 m10), is spelled out, as are _vdot's, so no
 spectrum depends on the BLAS kernel or numpy's SIMD dispatch. Nor does any
 entropy: the one entropy kernel, _entropy, takes math.log2 of every value.
+as_matrix, the Hermiticity guard and the array branches import numpy on use.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from math import inf, log2, sqrt
 from numbers import Number, Real
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from .errors import NumericError, ValidationError
-
-# Python and numpy bools are numbers too; no count, axis, rate or entry takes one.
-_BOOLS = (bool, np.bool_)
 
 # The rounding slack of every guard (Hermiticity, trace, Bloch norm, spectra,
 # discriminants, radicands): a value at most this far past its exact bound
@@ -36,15 +32,16 @@ class SpectrumPair(NamedTuple):
     lo: float
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2x2 complex matrix whose entries are numbers (no text or
+def as_matrix(m, name: str = "matrix"):
+    """Coerce to a 2x2 complex ndarray whose entries are numbers (no text or
     bool; an ndarray of numeric dtype passes whole), rejecting NaN/Inf."""
+    import numpy as np
     numeric = isinstance(m, np.ndarray) and m.dtype.kind in "iufc"
     raw = m if numeric else np.asarray(m, dtype=object)
     if raw.shape != (2, 2):
         raise ValidationError(f"{name} must be 2x2, got shape {raw.shape}")
     entries = () if numeric else raw.flat
-    if any(isinstance(z, _BOOLS) or not isinstance(z, Number) for z in entries):
+    if any(isinstance(z, bool) or not isinstance(z, Number) for z in entries):
         raise ValidationError(f"{name} entries must be numbers, got {m!r}")
     try:
         out = raw.astype(complex, copy=False)
@@ -58,7 +55,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def as_real(value) -> float:
     """value as a float if it is a real number, else TypeError: no text or bool."""
-    if isinstance(value, _BOOLS) or not isinstance(value, Real):
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise TypeError(f"not a real number: {value!r}")
     try:
         return float(value)
@@ -94,11 +91,13 @@ def split_spectrum(t, r, name: str):
     """SpectrumPair((t + sqrt(r))/2, (t - sqrt(r))/2), with r floored at 0;
     below -ROUNDING_TOL it raises NumericError("negative <name> ..."). A
     Python float r takes math.sqrt, an array np.sqrt: both correctly rounded."""
-    scalar = type(r) is float
-    lowest = r if scalar else float(r.min(initial=0.0))
+    if type(r) is float:
+        lowest, root = r, sqrt(max(r, 0.0))
+    else:
+        import numpy as np
+        lowest, root = float(r.min(initial=0.0)), np.sqrt(np.maximum(r, 0.0))
     if lowest < -ROUNDING_TOL:
         raise NumericError(f"negative {name} {lowest:.3e}")
-    root = sqrt(max(r, 0.0)) if scalar else np.sqrt(np.maximum(r, 0.0))
     return SpectrumPair((t + root) / 2.0, (t - root) / 2.0)
 
 
@@ -107,6 +106,7 @@ def _eigenvalues(m):
     (re, im) pairs, as (t +- sqrt(r))/2: t is the trace, and r = t^2 - 4 det
     is (m00 - m11)^2 + 4 Re(m01 m10), accurate for nearly degenerate spectra.
     An entry of |m - m^dagger| past ROUNDING_TOL raises ValidationError."""
+    import numpy as np
     (r00, i00), (r01, i01), (r10, i10), (r11, i11) = m
     parts = 2.0 * i00, 2.0 * i11, np.hypot(r01 - r10, i01 + i10)
     residual = max(float(np.abs(part).max(initial=0.0)) for part in parts)
@@ -157,6 +157,7 @@ def _entropy(spectrum):
             if p > 0.0:
                 total -= p * log2(p)
             continue
+        import numpy as np
         _check_unit_interval(float(p.min(initial=inf)), float(p.max(initial=-inf)))
         p = np.clip(p, 0.0, 1.0)
         # 0 log 1 = 0 log 0 = 0, and +0.0 for p = 1, as on floats

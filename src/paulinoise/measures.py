@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import closedform
 from .bloch import BlochVector, _checked_density
 from .channels import KrausChannel
@@ -131,11 +129,12 @@ def report_batch(ops, rho) -> dict:
     }
 
 
-def environment_entropy_oracle_batch(ops, rho) -> np.ndarray:
+def environment_entropy_oracle_batch(ops, rho):
     """environment_entropy_oracle for every broadcast (channel, state) cell: the columns
     m_k of sqrt(rho) = (rho + sI)/t, s = sqrt(det rho), t = sqrt(tr rho + 2s) (Cayley-Hamilton),
     go through V m = sum_e (A_e m) x |e>, and the entropy of the environment state left by
-    tracing out the system is returned; ops and rho as report_batch takes them."""
+    tracing out the system is returned as an ndarray; ops and rho as report_batch takes them."""
+    import numpy as np
     (r00, _), (r01, i01), (r10, i10), (r11, _) = rho
     # det rho floored at 0, which moves the rebuilt state by at most |det|
     det = r00 * r11 - (r01 * r10 - i01 * i10)

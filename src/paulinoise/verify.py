@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-import numpy as np
-
 from . import closedform, measures
 from .bloch import BlochVector, _density_pairs
 from .channels import (
@@ -112,8 +110,8 @@ def random_blochs(seed: int) -> Iterator[BlochVector]:
 
 def axis_routes(
     axis: PauliAxis, grid: list[float], states: list[BlochVector]
-) -> dict[str, np.ndarray]:
-    """Every route array of one axis, keyed "route.quantity" as in
+) -> dict:
+    """Every route ndarray of one axis, keyed "route.quantity" as in
     RESIDUAL_ROUTES, with leading shape (G, S) over the retention rates in
     grid and the Bloch vectors in states; "completeness" has shape (G,).
 
@@ -121,6 +119,7 @@ def axis_routes(
     states were drawn inside the ball, so _density_pairs takes them unchecked.
     Completeness is measured here and gated by AxisVerification.passed.
     """
+    import numpy as np
     channels = [make_one_pauli(axis, x) for x in grid]
     completeness = np.array([completeness_residual(ch) for ch in channels])
     # pairs ops[i][k] of arrays of shape (G, 1), rho[k] of shape (S,); x (G, 1), a (3, S)
@@ -145,9 +144,10 @@ def axis_routes(
     return routes
 
 
-def reduce_routes(axis: PauliAxis, routes: dict[str, np.ndarray]) -> AxisVerification:
+def reduce_routes(axis: PauliAxis, routes: dict) -> AxisVerification:
     """Residual maxima and C sign counts of one axis; the last state is the
     axis's reference input."""
+    import numpy as np
     gap = routes["fidelity_gap"]
     at = np.unravel_index(np.argmax(gap), gap.shape)
     gap_max, gap_predicted = 0.0, 0.0

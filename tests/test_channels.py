@@ -107,9 +107,9 @@ def test_bool_is_not_a_rate(entry, flag):
         AXIS_AND_RATE_ENTRY_POINTS[entry](1, flag)
 
 
-# Axes are integers through operator.index; a float, complex or Decimal that
-# equals 1, 2 or 3, or a one-element array, is not one.
-NOT_AXES = [2.0, 2 + 0j, Decimal(2), np.float64(2.0), np.array([2])]
+# Axes are integers (numbers.Integral, then operator.index); a float, complex
+# or Decimal that equals 1, 2 or 3, or an array of any shape, is not one.
+NOT_AXES = [2.0, 2 + 0j, Decimal(2), np.float64(2.0), np.array([2]), np.array(2)]
 # Rates are real numbers; text is parsed only by the command line.
 NOT_RATES = ["0.5", b"0.5", np.str_("0.5"), " 1e-1 ", 0.5 + 0j, np.complex128(0.5)]
 
