@@ -34,7 +34,7 @@ def check_bloch(a) -> BlochVector:
     try:
         if isinstance(a, (str, bytes, set, frozenset, dict)):
             raise TypeError("not an ordered sequence of numbers")
-        a1, a2, a3 = (as_real(c) for c in a)
+        a1, a2, a3 = (as_real(c, "Bloch components must be real numbers") for c in a)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"not a real 3-vector: {a!r}") from exc
     vec = BlochVector(a1, a2, a3)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
-from math import hypot, isfinite, sqrt
+from math import hypot, sqrt
 from numbers import Integral
 
 from .errors import ValidationError
@@ -56,33 +56,25 @@ def as_axis(value) -> PauliAxis:
                 f"unknown channel {value!r}, expected sigma1, sigma2 or sigma3"
             ) from None
     try:
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise TypeError("not an integer")
-        return PauliAxis(operator.index(value))
-    except (TypeError, ValueError):
+        return PauliAxis(as_count(value, "axis", 1))
+    except ValueError:  # as_count's ValidationError, or PauliAxis's above 3
         raise ValidationError(f"axis must be 1, 2 or 3, got {value!r}") from None
 
 
 def check_retention(x) -> float:
-    """Validate the retention rate x, a real number (as_real) in [0, 1]."""
-    try:
-        x = as_real(x)
-    except TypeError as exc:
-        raise ValidationError(f"x must be a real number, got {x!r}") from exc
-    if not isfinite(x) or not 0.0 <= x <= 1.0:
+    """Validate the retention rate x, a real number (as_real) in [0, 1], so not NaN."""
+    x = as_real(x, "x must be a real number")
+    if not 0.0 <= x <= 1.0:
         raise ValidationError(f"x must be in [0, 1], got {x}")
     return x
 
 
 def as_count(value, name: str, minimum: int) -> int:
-    """Coerce an integer argument (numbers.Integral, not a bool) of at least
-    minimum; numpy bools, which join no numbers ABC, and non-integers fail."""
-    try:
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise TypeError("not an integer")
-        count = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    """The one integer rule: numbers.Integral but not a bool (numpy's joins no numbers
+    ABC), then operator.index, of at least minimum; else ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    count = operator.index(value)
     if count < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {count}")
     return count

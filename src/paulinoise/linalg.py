@@ -53,10 +53,11 @@ def as_matrix(m, name: str = "matrix"):
     return out
 
 
-def as_real(value) -> float:
-    """value as a float if it is a real number, else TypeError: no text or bool."""
+def as_real(value, rule: str) -> float:
+    """value as a float if it is a real number (no text or bool), else
+    ValidationError(f"{rule}, got {value!r}") with the caller's rule."""
     if isinstance(value, bool) or not isinstance(value, Real):
-        raise TypeError(f"not a real number: {value!r}")
+        raise ValidationError(f"{rule}, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # beyond the float range: +-inf, which range checks reject
@@ -130,18 +131,15 @@ def _check_unit_interval(lowest: float, highest: float) -> None:
         raise NumericError(f"spectrum value {highest} exceeds 1")
 
 
-def _spectrum_value(p) -> float:
-    """A spectrum value as a float by the number rule (as_real)."""
-    try:
-        return as_real(p)
-    except TypeError:
-        raise ValidationError(f"spectrum values must be real numbers, got {p!r}") from None
-
-
 def spectrum_entropy(spectrum: Iterable[float]) -> float:
-    """Shannon entropy in bits of a probability spectrum, with 0 log 0 = 0;
-    each value is a real number (as_real: no text or bool)."""
-    return _entropy([_spectrum_value(p) for p in spectrum])
+    """Shannon entropy in bits of a probability spectrum, with 0 log 0 = 0:
+    an iterable of real numbers (as_real: no text or bool)."""
+    try:
+        values = iter(spectrum)
+    except TypeError:  # a number, None or a 0-d array
+        raise ValidationError(
+            f"spectrum must be an iterable of real numbers, got {spectrum!r}") from None
+    return _entropy([as_real(p, "spectrum values must be real numbers") for p in values])
 
 
 def _entropy(spectrum):

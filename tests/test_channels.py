@@ -96,20 +96,24 @@ AXIS_AND_RATE_ENTRY_POINTS = {
 @pytest.mark.parametrize("flag", BOOLS, ids=repr)
 @pytest.mark.parametrize("entry", AXIS_AND_RATE_ENTRY_POINTS)
 def test_bool_is_not_an_axis(entry, flag):
-    with pytest.raises(ValidationError, match="axis must be 1, 2 or 3"):
+    with pytest.raises(ValidationError) as info:
         AXIS_AND_RATE_ENTRY_POINTS[entry](flag, 0.5)
+    assert str(info.value) == f"axis must be 1, 2 or 3, got {flag!r}"
 
 
 @pytest.mark.parametrize("flag", BOOLS, ids=repr)
 @pytest.mark.parametrize("entry", AXIS_AND_RATE_ENTRY_POINTS)
 def test_bool_is_not_a_rate(entry, flag):
-    with pytest.raises(ValidationError, match="x must be a real number"):
+    with pytest.raises(ValidationError) as info:
         AXIS_AND_RATE_ENTRY_POINTS[entry](1, flag)
+    assert str(info.value) == f"x must be a real number, got {flag!r}"
 
 
 # Axes are integers (numbers.Integral, then operator.index); a float, complex
 # or Decimal that equals 1, 2 or 3, or an array of any shape, is not one.
 NOT_AXES = [2.0, 2 + 0j, Decimal(2), np.float64(2.0), np.array([2]), np.array(2)]
+# Integers outside 1..3: below 1 as_count's minimum rejects them, above 3 PauliAxis.
+OUT_OF_RANGE_AXES = [0, -1, 4, 10**30, np.int64(0), np.uint8(4)]
 # Rates are real numbers; text is parsed only by the command line.
 NOT_RATES = ["0.5", b"0.5", np.str_("0.5"), " 1e-1 ", 0.5 + 0j, np.complex128(0.5)]
 
@@ -117,15 +121,25 @@ NOT_RATES = ["0.5", b"0.5", np.str_("0.5"), " 1e-1 ", 0.5 + 0j, np.complex128(0.
 @pytest.mark.parametrize("value", NOT_AXES, ids=repr)
 @pytest.mark.parametrize("entry", AXIS_AND_RATE_ENTRY_POINTS)
 def test_non_integer_number_is_not_an_axis(entry, value):
-    with pytest.raises(ValidationError, match="axis must be 1, 2 or 3"):
+    with pytest.raises(ValidationError) as info:
         AXIS_AND_RATE_ENTRY_POINTS[entry](value, 0.5)
+    assert str(info.value) == f"axis must be 1, 2 or 3, got {value!r}"
+
+
+@pytest.mark.parametrize("value", OUT_OF_RANGE_AXES, ids=repr)
+@pytest.mark.parametrize("entry", AXIS_AND_RATE_ENTRY_POINTS)
+def test_integer_outside_one_to_three_is_not_an_axis(entry, value):
+    with pytest.raises(ValidationError) as info:
+        AXIS_AND_RATE_ENTRY_POINTS[entry](value, 0.5)
+    assert str(info.value) == f"axis must be 1, 2 or 3, got {value!r}"
 
 
 @pytest.mark.parametrize("value", NOT_RATES, ids=repr)
 @pytest.mark.parametrize("entry", AXIS_AND_RATE_ENTRY_POINTS)
 def test_text_and_complex_are_not_rates(entry, value):
-    with pytest.raises(ValidationError, match="x must be a real number"):
+    with pytest.raises(ValidationError) as info:
         AXIS_AND_RATE_ENTRY_POINTS[entry](1, value)
+    assert str(info.value) == f"x must be a real number, got {value!r}"
 
 
 # Reals too large for a float are rates out of range, not an OverflowError.

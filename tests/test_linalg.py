@@ -224,15 +224,28 @@ def test_spectrum_entropy_rejects_value_above_one():
         spectrum_entropy((1.1,))
 
 
+NOT_REAL = "spectrum values must be real numbers, got "
+NOT_ITERABLE = "spectrum must be an iterable of real numbers, got "
+# Each bad spectrum with its message: the first value the number rule
+# rejects, or the spectrum itself when it is not iterable.
+BAD_SPECTRA = [
+    (["0.5", "0.5"], NOT_REAL + repr("0.5")), ([b"1"], NOT_REAL + repr(b"1")),
+    ([True], NOT_REAL + "True"), ([np.bool_(False), 1.0], NOT_REAL + repr(np.bool_(False))),
+    ([0.5, 0.5 + 0j], NOT_REAL + "(0.5+0j)"),
+    ([Decimal("0.5"), 0.5], NOT_REAL + "Decimal('0.5')"), ([None], NOT_REAL + "None"),
+    (0.5, NOT_ITERABLE + "0.5"), (None, NOT_ITERABLE + "None"),
+    (np.array(0.5), NOT_ITERABLE + "array(0.5)"),
+]
+
+
 @pytest.mark.parametrize(
-    "bad",
-    [["0.5", "0.5"], [b"1"], [True], [np.bool_(False), 1.0], [0.5, 0.5 + 0j],
-     [Decimal("0.5"), 0.5], [None]],
+    "bad, message", BAD_SPECTRA, ids=[f"bad{i}" for i in range(len(BAD_SPECTRA))]
 )
 @pytest.mark.parametrize("kernel", [spectrum_entropy])
-def test_spectrum_entropy_follows_the_number_rule(kernel, bad):
-    with pytest.raises(ValidationError, match="spectrum values must be real numbers"):
+def test_spectrum_entropy_follows_the_number_rule(kernel, bad, message):
+    with pytest.raises(ValidationError) as info:
         kernel(bad)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("kernel", [spectrum_entropy])
