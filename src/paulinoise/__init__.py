@@ -3,9 +3,9 @@
 The package models the bit-flip, bit-phase-flip and phase-flip channels as
 Kraus maps and computes quantum noise (entropy exchange), coherent
 information, entangled fidelity and mutual information by three routes,
-each with one scalar entry point: full_report (Kraus numerics),
-closed_point (the published closed forms) and environment_entropy_oracle
-(the system-environment dilation).
+each with one scalar entry point that takes the state as its Bloch vector:
+full_report (Kraus numerics), closed_point (the published closed forms)
+and environment_entropy_oracle (the system-environment dilation).
 """
 
 from .bloch import (
@@ -39,7 +39,7 @@ from .measures import (
     full_report,
 )
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 __all__ = [
     "BlochVector",

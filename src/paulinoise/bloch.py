@@ -42,7 +42,7 @@ def check_bloch(a) -> BlochVector:
         raise ValidationError(f"Bloch vector has non-finite components: {vec}")
     if vec.norm_sq > 1.0 + ROUNDING_TOL:
         raise ValidationError(
-            f"Bloch vector length {vec.norm:.6g} exceeds 1 by {vec.norm - 1.0:.3g}"
+            f"Bloch vector length {vec.norm!r} exceeds 1 by {vec.norm - 1.0:.3g}"
         )
     return vec
 
@@ -77,13 +77,11 @@ def bloch_to_density(a):
     return np.array([complex(*z) for z in pairs]).reshape(2, 2)
 
 
-def _checked_density(rho):
-    """check_density's one pass: as_matrix, the eigenvalue kernel (with its
-    Hermiticity guard), then unit trace and positivity. Returns the matrix,
-    its row-major (re, im) pairs and its spectrum."""
+def check_density(rho):
+    """Validate Hermiticity (inside the eigenvalue kernel), unit trace and
+    positivity of a 2x2 state; return it as as_matrix's complex ndarray."""
     rho = as_matrix(rho, "density matrix")
-    pairs = _pairs(rho.tolist())
-    spectrum = _eigenvalues(pairs)
+    spectrum = _eigenvalues(_pairs(rho.tolist()))
     trace = complex(rho[0, 0] + rho[1, 1])
     if abs(trace - 1.0) > ROUNDING_TOL:
         raise ValidationError(f"density matrix trace {trace:.15g} != 1")
@@ -91,10 +89,4 @@ def _checked_density(rho):
         raise ValidationError(
             f"density matrix has negative eigenvalue {spectrum.lo:.3e}"
         )
-    return rho, pairs, spectrum
-
-
-def check_density(rho):
-    """Validate Hermiticity (inside the eigenvalue kernel), unit trace and
-    positivity of a 2x2 state; return it as as_matrix's complex ndarray."""
-    return _checked_density(rho)[0]
+    return rho

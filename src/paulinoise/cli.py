@@ -7,7 +7,7 @@ import argparse
 import sys
 from typing import Iterable, Iterator
 
-from .bloch import BlochVector, bloch_to_density, parse_bloch
+from .bloch import BlochVector, parse_bloch
 from .channels import (
     PauliAxis,
     as_axis,
@@ -51,8 +51,7 @@ def sweep_reports(
     axis: PauliAxis, bloch: BlochVector, grid: list[float]
 ) -> Iterator[ChannelReport]:
     """Full report at every retention rate of grid, in grid order, one at a time."""
-    rho = bloch_to_density(bloch)
-    return (full_report(make_one_pauli(axis, x), rho) for x in grid)
+    return (full_report(make_one_pauli(axis, x), bloch) for x in grid)
 
 
 def csv_line(report: ChannelReport, precision: int) -> str:
@@ -79,7 +78,7 @@ def write_sweep_csv(
     lines = [CSV_HEADER]
     lines.extend(csv_line(report, precision) for report in reports)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +149,7 @@ def cmd_analyze(args) -> int:
     bloch = _flagged("--bloch", parse_bloch, args.bloch)
     x = _flagged("--x", check_retention, args.x)
     precision = _flagged("--precision", _check_precision, args.precision)
-    report = full_report(make_one_pauli(axis, x), bloch_to_density(bloch))
+    report = full_report(make_one_pauli(axis, x), bloch)
     print(f"x = {format_value(report.x, precision)}")
     print(f"bloch_in = {format_bloch(bloch, precision)}")
     print(f"bloch_out = {format_bloch(report.bloch_out, precision)}")

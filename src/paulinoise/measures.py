@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import closedform
-from .bloch import BlochVector, _checked_density
+from .bloch import BlochVector, _density_pairs, check_bloch
 from .channels import KrausChannel
 from .linalg import SpectrumPair, _eigenvalues, _entropy, _vdot
 
@@ -75,26 +75,26 @@ def _kraus_contraction(ops, rho):
     return out, w, fidelity, _bloch_of(out)
 
 
-def environment_entropy_oracle(ch: KrausChannel, rho) -> float:
-    """Entropy exchange recomputed through the system-environment dilation
-    V psi = sum_i (A_i psi) x |i> of the canonical purification of rho, by the
-    columns of sqrt(rho): environment_entropy_oracle_batch on numpy scalars.
-    Must agree with full_report's noise_n for every valid input."""
-    return float(environment_entropy_oracle_batch(ch.ops, _checked_density(rho)[1]))
+def environment_entropy_oracle(ch: KrausChannel, a) -> float:
+    """Entropy exchange of the state rho of Bloch vector a, recomputed through the
+    system-environment dilation V psi = sum_i (A_i psi) x |i> of its canonical
+    purification, by the columns of sqrt(rho): environment_entropy_oracle_batch
+    on numpy scalars. Must agree with full_report's noise_n for every valid input."""
+    return float(environment_entropy_oracle_batch(ch.ops, _density_pairs(*check_bloch(a))))
 
 
-def full_report(ch: KrausChannel, rho) -> ChannelReport:
-    """Evaluate every measure at one operating point.
+def full_report(ch: KrausChannel, a) -> ChannelReport:
+    """Evaluate every measure at one operating point, for the state of Bloch vector a.
 
-    The state is validated once, by check_density's pass, whose pairs give
-    report_batch's input and bloch_in and whose spectrum gives h_in; the
-    channel is validated by its constructor. Everything derived from them
-    goes straight to the cores, whose spectral guards (Hermiticity,
+    The state is validated once, by check_bloch, whose vector is bloch_in and
+    whose _density_pairs give report_batch's input and, by their spectrum,
+    h_in; the channel is validated by its constructor. Everything derived
+    from them goes straight to the cores, whose spectral guards (Hermiticity,
     discriminant, spectrum bounds) still run.
     """
-    _, pairs, spectrum = _checked_density(rho)
-    bloch_in = _bloch_of(pairs)
-    h_in = _entropy(spectrum)
+    bloch_in = check_bloch(a)
+    pairs = _density_pairs(*bloch_in)
+    h_in = _entropy(_eigenvalues(pairs))
     kraus = report_batch(ch.ops, pairs)
     return ChannelReport(
         x=ch.x,
@@ -112,7 +112,7 @@ def report_batch(ops, rho) -> dict:
     """The full_report measures bloch_out (a BlochVector), thetas and lambdas
     (SpectrumPairs), h_out, noise_n, coherent_c and fidelity_numeric, of floats
     or of arrays, from the pairs _kraus_contraction reads; the ops are valid
-    from KrausChannel, the state from check_density or _density_pairs."""
+    from KrausChannel, the state from _density_pairs."""
     out, w, fidelity, bloch_out = _kraus_contraction(ops, rho)
     thetas = _eigenvalues(out)
     h_out = _entropy(thetas)

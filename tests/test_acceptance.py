@@ -116,8 +116,7 @@ def test_criterion_3_completeness_and_state_validity(verification):
 
 def test_criterion_4_spot_values():
     bloch = BlochVector(0.5, 0.6, 0.6)
-    rho = bloch_to_density(bloch)
-    zero, half, one = (full_report(make_one_pauli(1, x), rho) for x in (0.0, 0.5, 1.0))
+    zero, half, one = (full_report(make_one_pauli(1, x), bloch) for x in (0.0, 0.5, 1.0))
     n_half = half.noise_n
     c_half, c_zero, c_one = half.coherent_c, zero.coherent_c, one.coherent_c
     f_zero, f_half = zero.fidelity_numeric, half.fidelity_numeric
@@ -146,10 +145,9 @@ def test_criterion_5_symmetries():
     worst_reflection = 0.0
     for axis in PauliAxis:
         for a in states + [REFERENCE_STATES[axis]]:
-            rho = bloch_to_density(a)
             for x in grid:
-                direct = full_report(make_one_pauli(axis, x), rho)
-                mirrored = full_report(make_one_pauli(axis, 1.0 - x), rho)
+                direct = full_report(make_one_pauli(axis, x), a)
+                mirrored = full_report(make_one_pauli(axis, 1.0 - x), a)
                 worst_reflection = max(
                     worst_reflection,
                     abs(direct.noise_n - mirrored.noise_n),
@@ -165,11 +163,9 @@ def test_criterion_5_symmetries():
             for a in states:
                 swapped = list(a)
                 swapped[k - 1], swapped[kp - 1] = swapped[kp - 1], swapped[k - 1]
-                rho = bloch_to_density(a)
-                rho_swapped = bloch_to_density(swapped)
                 for x in (0.0, 0.15, 0.5, 0.85, 1.0):
-                    rep = full_report(make_one_pauli(k, x), rho)
-                    rep_image = full_report(make_one_pauli(kp, x), rho_swapped)
+                    rep = full_report(make_one_pauli(k, x), a)
+                    rep_image = full_report(make_one_pauli(kp, x), swapped)
                     worst_permutation = max(
                         worst_permutation,
                         abs(rep.noise_n - rep_image.noise_n),

@@ -1,5 +1,8 @@
 import itertools
+import re
+from decimal import Decimal
 from fractions import Fraction
+from math import inf
 
 import numpy as np
 import pytest
@@ -8,11 +11,13 @@ from hypothesis import given
 from helpers import IDENTITY, SIGMA1, SIGMA2, SIGMA3, bloch_vectors
 from paulinoise import (
     BlochVector,
+    KrausChannel,
     ValidationError,
     bloch_to_density,
     check_bloch,
     check_density,
     closed_point,
+    environment_entropy_oracle,
     full_report,
     make_one_pauli,
     parse_bloch,
@@ -26,7 +31,7 @@ ENTROPY_AT_097 = 0.06412343509793366
 
 def _h_in(a):
     # the input entropy full_report carries; the channel does not enter it
-    return full_report(make_one_pauli(1, 0.5), bloch_to_density(a)).h_in
+    return full_report(make_one_pauli(1, 0.5), a).h_in
 
 
 def test_maximally_mixed():
@@ -117,6 +122,19 @@ def test_check_bloch_rejects_long_vector():
         check_bloch((0, 0, 2))
 
 
+@pytest.mark.parametrize(
+    "a",
+    [(0, 0, 2), (0.57735026919, 0.57735026919, 0.57735026919), (1.0, 2e-6, 0.0)],
+    ids=["2", "1+6.5e-13", "1+2e-12"],
+)
+def test_check_bloch_prints_a_length_past_1(a):
+    # printed to 6 digits, every length within 5e-6 of 1 read "length 1 exceeds 1"
+    with pytest.raises(ValidationError, match="exceeds 1") as info:
+        check_bloch(a)
+    length = re.fullmatch(r"Bloch vector length (\S+) exceeds 1 by \S+", str(info.value))
+    assert float(length[1]) > 1.0
+
+
 def test_check_bloch_rejects_nan():
     with pytest.raises(ValidationError):
         check_bloch((float("nan"), 0, 0))
@@ -138,29 +156,42 @@ def test_check_bloch_rejects_text_and_unordered_containers(a):
         check_bloch(a)
 
 
+# Every entry that takes a state as its Bloch vector, by check_bloch's rule.
+BLOCH_ENTRIES = (
+    check_bloch,
+    lambda a: closed_point(1, 0.5, a),
+    lambda a: full_report(KrausChannel(1, 0.3), a),
+    lambda a: environment_entropy_oracle(KrausChannel(2, 0.3), a),
+)
+
+
 @pytest.mark.parametrize(
     "a",
     [["0.1", "0.2", "0.3"], [b"0", b"0", b"1"], [True, False, False],
-     np.array([True, False, False]), [0.1, 0.2, 0.3 + 0j]],
-    ids=["str", "bytes", "bool", "numpy-bool", "complex"],
+     np.array([True, False, False]), [0.1, 0.2, 0.3 + 0j],
+     [Decimal("0.1"), 0, 0], [[0.5, 0], [0, 0.5]], np.eye(2) / 2],
+    ids=["str", "bytes", "bool", "numpy-bool", "complex", "Decimal",
+         "2x2-list", "2x2-array"],
 )
 def test_check_bloch_takes_only_real_components(a):
-    with pytest.raises(ValidationError, match="not a real 3-vector"):
-        check_bloch(a)
-    with pytest.raises(ValidationError, match="not a real 3-vector"):
-        closed_point(1, 0.5, a)
+    # a state given as its density matrix is not a Bloch vector either
+    for entry in BLOCH_ENTRIES:
+        with pytest.raises(ValidationError) as info:
+            entry(a)
+        assert str(info.value) == f"not a real 3-vector: {a!r}"
 
 
 @pytest.mark.parametrize(
-    "a",
-    [[10**400, 0, 0], [0, -(10**400), 0], [0, 0, Fraction(-(10**400), 3)]],
+    "a, vec",
+    [([10**400, 0, 0], (inf, 0.0, 0.0)), ([0, -(10**400), 0], (0.0, -inf, 0.0)),
+     ([0, 0, Fraction(-(10**400), 3)], (0.0, 0.0, -inf))],
     ids=["int", "-int", "-Fraction"],
 )
-def test_check_bloch_rejects_components_beyond_float_range(a):
-    with pytest.raises(ValidationError, match="non-finite components"):
-        check_bloch(a)
-    with pytest.raises(ValidationError, match="non-finite components"):
-        closed_point(1, 0.5, a)
+def test_check_bloch_rejects_components_beyond_float_range(a, vec):
+    for entry in BLOCH_ENTRIES:
+        with pytest.raises(ValidationError) as info:
+            entry(a)
+        assert str(info.value) == f"Bloch vector has non-finite components: {BlochVector(*vec)}"
 
 
 def test_check_bloch_accepts_real_components_of_any_type():

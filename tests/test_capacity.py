@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from helpers import axes, bloch_vectors, retentions
 from paulinoise import (
-    bloch_to_density,
     closed_point,
     environment_entropy_oracle,
     full_report,
@@ -41,12 +40,12 @@ def capacity(x: float) -> float:
 
 def route_coherent_information(axis, x, a) -> dict[str, float]:
     """C by the Kraus route, the closed forms and the dilation oracle."""
-    ch, rho = make_one_pauli(axis, x), bloch_to_density(a)
-    report = full_report(ch, rho)
+    ch = make_one_pauli(axis, x)
+    report = full_report(ch, a)
     return {
         "kraus": report.coherent_c,
         "closed": closed_point(axis, x, a).coherent_c,
-        "oracle": report.h_out - environment_entropy_oracle(ch, rho),
+        "oracle": report.h_out - environment_entropy_oracle(ch, a),
     }
 
 

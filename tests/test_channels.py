@@ -180,15 +180,15 @@ def test_channel_is_a_value_of_axis_and_rate():
 
 def test_kraus_operators_and_pauli_constants_are_read_only():
     ch = KrausChannel(1, 0.75)
-    rho = bloch_to_density((0.5, 0.6, 0.6))
-    before = full_report(ch, rho)
+    a = (0.5, 0.6, 0.6)
+    before = full_report(ch, a)
     for ops in (ch.ops, ch.ops[1], ch.ops[1][1]):
         with pytest.raises(TypeError, match="does not support item assignment"):
             ops[1] = 0.9
     for constant in (channels._KEEP, channels._FLIPS, channels._FLIPS[0]):
         with pytest.raises(TypeError, match="does not support item assignment"):
             constant[0] = 3
-    assert full_report(ch, rho) == before
+    assert full_report(ch, a) == before
     assert completeness_residual(ch) <= 1e-15
     assert (bloch_to_density((0, 0, 0)) == IDENTITY / 2).all()
 

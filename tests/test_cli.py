@@ -238,10 +238,10 @@ def test_sweep_error_is_not_relabelled_as_steps(capsys, monkeypatch, tmp_path):
     # file is left behind
     report = cli.full_report
 
-    def fail_last(ch, rho):
+    def fail_last(ch, a):
         if ch.x == 1.0:
             raise ValidationError("boom")
-        return report(ch, rho)
+        return report(ch, a)
 
     monkeypatch.setattr(cli, "full_report", fail_last)
     out = tmp_path / "s.csv"

@@ -10,7 +10,6 @@ from paulinoise import (
     BlochVector,
     PauliAxis,
     ValidationError,
-    bloch_to_density,
     closed_point,
     fidelity_paper_closed,
     full_report,
@@ -221,7 +220,7 @@ def test_lambdas_accurate_for_tiny_axis_component(axis, x, a):
     have = closed_point(axis, x, a).lambdas
     assert abs(have.lo - want[1]) <= 1e-15
     assert abs(have.hi - want[0]) <= 1e-15
-    kraus = full_report(make_one_pauli(axis, x), bloch_to_density(a)).lambdas
+    kraus = full_report(make_one_pauli(axis, x), a).lambdas
     assert abs(have.lo - kraus.lo) <= 1e-15
 
 
@@ -231,7 +230,7 @@ def test_lambdas_accurate_for_tiny_axis_component(axis, x, a):
 @settings(max_examples=80, deadline=None)
 @given(axes(), retentions(), bloch_vectors())
 def test_closed_forms_match_generic_path(axis, x, a):
-    rep = full_report(make_one_pauli(axis, x), bloch_to_density(a))
+    rep = full_report(make_one_pauli(axis, x), a)
     point = closed_point(axis, x, a)
 
     for have, want in zip(rep.bloch_out, point.b):
@@ -251,7 +250,7 @@ def test_closed_forms_match_generic_path(axis, x, a):
 @given(axes(), retentions(), bloch_vectors())
 def test_fidelity_closed_forms_against_trace_form(axis, x, a):
     # fidelity expressions are polynomial, so arbitrary floats are fine here
-    rep = full_report(make_one_pauli(axis, x), bloch_to_density(a))
+    rep = full_report(make_one_pauli(axis, x), a)
     f_numeric = rep.fidelity_numeric
     f_closed = fidelity_paper_closed(axis, x, a)
     if axis == 2:

@@ -89,16 +89,15 @@ def test_eigenvalues_reject_wrong_shape():
         hermitian_eigenvalues_2x2(np.eye(3))
 
 
-ENTRY_POINTS = pytest.mark.parametrize(
-    "entry",
-    [
-        check_density,
-        hermitian_eigenvalues_2x2,
-        lambda m: full_report(KrausChannel(1, 0.3), m),
-        lambda m: environment_entropy_oracle(KrausChannel(2, 0.3), m),
-    ],
-    ids=["check_density", "eigenvalues", "full_report", "oracle"],
-)
+# The public entries that take a state. check_density and the eigenvalue
+# kernel take a 2x2 matrix, by as_matrix's one coercion; full_report and the
+# oracle take its Bloch vector, by check_bloch's, and refuse every matrix.
+MATRIX_ENTRIES = {"check_density": check_density, "eigenvalues": hermitian_eigenvalues_2x2}
+BLOCH_ENTRIES = {
+    "full_report": lambda a: full_report(KrausChannel(1, 0.3), a),
+    "oracle": lambda a: environment_entropy_oracle(KrausChannel(2, 0.3), a),
+}
+ENTRY_POINTS = pytest.mark.parametrize("entry", [*MATRIX_ENTRIES, *BLOCH_ENTRIES])
 
 
 @ENTRY_POINTS
@@ -131,23 +130,39 @@ ENTRY_POINTS = pytest.mark.parametrize(
          "dict-entry", "nan-and-text"],
 )
 def test_2x2_entry_points_share_one_coercion(entry, bad, message):
-    with pytest.raises(ValidationError, match=message):
-        entry(bad)
+    if entry in MATRIX_ENTRIES:
+        with pytest.raises(ValidationError, match=message):
+            MATRIX_ENTRIES[entry](bad)
+        return
+    with pytest.raises(ValidationError) as info:
+        BLOCH_ENTRIES[entry](bad)
+    assert str(info.value) == f"not a real 3-vector: {bad!r}"
 
 
-@ENTRY_POINTS
-@pytest.mark.parametrize(
-    "numbers",
-    [
-        [[Fraction(1, 2), 0], [0, Fraction(1, 2)]],
-        [[np.float32(0.5), np.int64(0)], [0j, np.complex128(0.5)]],
-        [[Decimal("0.5"), 0], [0, Decimal("0.5")]],
-        np.array([[1, 0], [0, 1]]) / 2,
-    ],
-    ids=["Fraction", "numpy-numbers", "Decimal", "float-array"],
-)
-def test_2x2_entry_points_take_any_number(entry, numbers):
-    np.testing.assert_equal(entry(numbers), entry(np.eye(2) / 2))
+# Each number type as the entries of the maximally mixed matrix and as the
+# components of the Bloch vector (1/2, 0, -1/4). A Decimal is a number but
+# not a real number: a matrix entry only (test_bloch rejects it as a component).
+NUMBER_CASES = {
+    "Fraction": ([[Fraction(1, 2), 0], [0, Fraction(1, 2)]],
+                 (Fraction(1, 2), 0, Fraction(-1, 4))),
+    "numpy-numbers": ([[np.float32(0.5), np.int64(0)], [0j, np.complex128(0.5)]],
+                      (np.float32(0.5), np.int64(0), np.float64(-0.25))),
+    "Decimal": ([[Decimal("0.5"), 0], [0, Decimal("0.5")]], None),
+    "float-array": (np.array([[1, 0], [0, 1]]) / 2, np.array([1, 0, -0.5]) / 2),
+}
+
+
+@pytest.mark.parametrize("case, entry", [
+    pytest.param(case, entry, id=f"{case}-{entry}")
+    for case, (_, vector) in NUMBER_CASES.items()
+    for entry in (*MATRIX_ENTRIES, *(BLOCH_ENTRIES if vector is not None else ()))
+])
+def test_2x2_entry_points_take_any_number(case, entry):
+    matrix, vector = NUMBER_CASES[case]
+    if entry in MATRIX_ENTRIES:
+        np.testing.assert_equal(MATRIX_ENTRIES[entry](matrix), MATRIX_ENTRIES[entry](np.eye(2) / 2))
+    else:
+        np.testing.assert_equal(BLOCH_ENTRIES[entry](vector), BLOCH_ENTRIES[entry]((0.5, 0.0, -0.25)))
 
 
 @given(_entry, _entry, _entry, _entry)

@@ -17,6 +17,7 @@ from paulinoise import (
     KrausChannel,
     PauliAxis,
     bloch_to_density,
+    closed_point,
     environment_entropy_oracle,
     full_report,
     hermitian_eigenvalues_2x2,
@@ -102,42 +103,42 @@ def test_kraus_contraction_is_exact_on_fractions(axis):
 
 
 def test_entropy_exchange_noiseless():
-    assert full_report(make_one_pauli(1, 1.0), _rho((0.5, 0.6, 0.6))).noise_n == 0.0
+    assert full_report(make_one_pauli(1, 1.0), (0.5, 0.6, 0.6)).noise_n == 0.0
 
 
 def test_entropy_exchange_halfway():
-    n = full_report(make_one_pauli(1, 0.5), _rho((0.5, 0.6, 0.6))).noise_n
+    n = full_report(make_one_pauli(1, 0.5), (0.5, 0.6, 0.6)).noise_n
     assert n == pytest.approx(H_THREE_QUARTERS, abs=1e-12)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.3, 0.5, 0.9, 1.0])
 def test_entropy_exchange_vanishes_for_axis_aligned_pure_state(x):
-    assert full_report(make_one_pauli(1, x), _rho((1, 0, 0))).noise_n <= 1e-12
+    assert full_report(make_one_pauli(1, x), (1, 0, 0)).noise_n <= 1e-12
 
 
 def test_coherent_information_halfway_is_zero():
-    c = full_report(make_one_pauli(1, 0.5), _rho((0.5, 0.6, 0.6))).coherent_c
+    c = full_report(make_one_pauli(1, 0.5), (0.5, 0.6, 0.6)).coherent_c
     assert c == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0])
 def test_coherent_information_equals_input_entropy_at_endpoints(x):
-    c = full_report(make_one_pauli(1, x), _rho((0.5, 0.6, 0.6))).coherent_c
+    c = full_report(make_one_pauli(1, x), (0.5, 0.6, 0.6)).coherent_c
     assert c == pytest.approx(H_REF, abs=1e-9)
 
 
 def test_entangled_fidelity_identity_channel():
-    rep = full_report(make_one_pauli(2, 1.0), _rho((0.5, 0.6, 0.6)))
+    rep = full_report(make_one_pauli(2, 1.0), (0.5, 0.6, 0.6))
     assert rep.fidelity_numeric == 1.0
 
 
 def test_entangled_fidelity_sigma1_full_noise():
-    f = full_report(make_one_pauli(1, 0.0), _rho((0.5, 0.6, 0.6))).fidelity_numeric
+    f = full_report(make_one_pauli(1, 0.0), (0.5, 0.6, 0.6)).fidelity_numeric
     assert f == pytest.approx(0.25, abs=1e-12)
 
 
 def test_entangled_fidelity_sigma2_full_noise_is_positive():
-    f = full_report(make_one_pauli(2, 0.0), _rho((0.6, 0.5, 0.6))).fidelity_numeric
+    f = full_report(make_one_pauli(2, 0.0), (0.6, 0.5, 0.6)).fidelity_numeric
     assert f == pytest.approx(0.25, abs=1e-12)
 
 
@@ -145,73 +146,68 @@ def test_entangled_fidelity_sigma2_full_noise_is_positive():
 @given(axes(), retentions(), bloch_vectors())
 def test_entangled_fidelity_closed_identity(axis, x, a):
     # direct consequence of the trace form, for every axis
-    f = full_report(make_one_pauli(axis, x), _rho(a)).fidelity_numeric
+    f = full_report(make_one_pauli(axis, x), a).fidelity_numeric
     ak = a[axis - 1]
     assert f == pytest.approx(x + (1 - x) * ak * ak, abs=1e-12)
     assert 0.0 <= f <= 1.0 + 1e-12
 
 
 def test_mutual_information_noiseless():
-    m = full_report(make_one_pauli(1, 1.0), _rho((0.5, 0.6, 0.6))).mutual_info
+    m = full_report(make_one_pauli(1, 1.0), (0.5, 0.6, 0.6)).mutual_info
     assert m == pytest.approx(2 * H_REF, abs=1e-9)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.25, 0.5, 1.0])
 def test_mutual_information_maximally_mixed(x):
     ch = make_one_pauli(1, x)
-    rho = _rho((0, 0, 0))
-    rep = full_report(ch, rho)
+    rep = full_report(ch, (0, 0, 0))
     assert rep.mutual_info == pytest.approx(2.0 - rep.noise_n, abs=1e-12)
 
 
 def test_mutual_information_components():
     ch = make_one_pauli(1, 0.5)
-    rho = _rho((0.5, 0.6, 0.6))
-    assert full_report(ch, rho).mutual_info == pytest.approx(H_REF, abs=1e-9)
+    assert full_report(ch, (0.5, 0.6, 0.6)).mutual_info == pytest.approx(H_REF, abs=1e-9)
 
 
 def test_oracle_noiseless():
-    assert environment_entropy_oracle(make_one_pauli(3, 1.0), _rho((0.5, 0.6, 0.6))) == 0.0
+    assert environment_entropy_oracle(make_one_pauli(3, 1.0), (0.5, 0.6, 0.6)) == 0.0
 
 
 def test_oracle_halfway():
-    n = environment_entropy_oracle(make_one_pauli(1, 0.5), _rho((0.5, 0.6, 0.6)))
+    n = environment_entropy_oracle(make_one_pauli(1, 0.5), (0.5, 0.6, 0.6))
     assert n == pytest.approx(H_THREE_QUARTERS, abs=1e-10)
 
 
 def test_oracle_transverse_pure_state():
     # for an input pure along sigma1, the sigma3 exchange matrix is exactly
     # diagonal {x, 1-x}, so the noise is the binary entropy of x
-    n = environment_entropy_oracle(make_one_pauli(3, 0.3), _rho((1, 0, 0)))
+    n = environment_entropy_oracle(make_one_pauli(3, 0.3), (1, 0, 0))
     assert n == pytest.approx(H_POINT_THREE, abs=1e-10)
 
 
 def test_oracle_axis_aligned_pure_state_sees_no_noise():
     # the sigma3 error acts trivially on its own eigenstate: the dilation
     # leaves the environment pure and both routes must report zero
-    ch = make_one_pauli(3, 0.3)
-    rho = _rho((0, 0, 1))
-    assert environment_entropy_oracle(ch, rho) == pytest.approx(0.0, abs=1e-12)
-    assert full_report(ch, rho).noise_n == pytest.approx(0.0, abs=1e-12)
+    ch, a = make_one_pauli(3, 0.3), (0, 0, 1)
+    assert environment_entropy_oracle(ch, a) == pytest.approx(0.0, abs=1e-12)
+    assert full_report(ch, a).noise_n == pytest.approx(0.0, abs=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
 @given(axes(), retentions(), bloch_vectors())
 def test_oracle_matches_entropy_exchange(axis, x, a):
     ch = make_one_pauli(axis, x)
-    rho = _rho(a)
-    assert environment_entropy_oracle(ch, rho) == pytest.approx(
-        full_report(ch, rho).noise_n, abs=1e-10
+    assert environment_entropy_oracle(ch, a) == pytest.approx(
+        full_report(ch, a).noise_n, abs=1e-10
     )
 
 
 def test_oracle_survives_nearly_degenerate_input():
     # regression: a state a hair away from maximally mixed must not trip
     # the spectral decomposition into a non-orthogonal eigenbasis
-    ch = make_one_pauli(1, 0.5)
-    rho = _rho((1e-12, 0.0, 1e-12))
-    assert environment_entropy_oracle(ch, rho) == pytest.approx(
-        full_report(ch, rho).noise_n, abs=1e-10
+    ch, a = make_one_pauli(1, 0.5), (1e-12, 0.0, 1e-12)
+    assert environment_entropy_oracle(ch, a) == pytest.approx(
+        full_report(ch, a).noise_n, abs=1e-10
     )
 
 
@@ -245,7 +241,7 @@ def test_oracle_matches_reference_near_mixed_and_pure_states(axis):
 
 
 def test_full_report_noiseless_endpoint():
-    rep = full_report(make_one_pauli(1, 1.0), _rho((0.5, 0.6, 0.6)))
+    rep = full_report(make_one_pauli(1, 1.0), (0.5, 0.6, 0.6))
     assert rep.x == 1.0
     assert rep.noise_n == 0.0
     assert rep.coherent_c == pytest.approx(rep.h_in, abs=1e-12)
@@ -254,7 +250,7 @@ def test_full_report_noiseless_endpoint():
 
 
 def test_full_report_halfway():
-    rep = full_report(make_one_pauli(1, 0.5), _rho((0.5, 0.6, 0.6)))
+    rep = full_report(make_one_pauli(1, 0.5), (0.5, 0.6, 0.6))
     assert rep.lambdas.hi == pytest.approx(0.75, abs=1e-12)
     assert rep.lambdas.lo == pytest.approx(0.25, abs=1e-12)
     assert rep.thetas.hi == pytest.approx(0.75, abs=1e-12)
@@ -262,16 +258,28 @@ def test_full_report_halfway():
 
 
 def test_full_report_exposes_both_fidelities():
-    rep = full_report(make_one_pauli(2, 0.0), _rho((0.6, 0.5, 0.6)))
+    rep = full_report(make_one_pauli(2, 0.0), (0.6, 0.5, 0.6))
     assert rep.fidelity_numeric == pytest.approx(0.25, abs=1e-12)
     assert rep.fidelity_paper == pytest.approx(-0.25, abs=1e-12)
+
+
+def test_tiny_components_reach_bloch_in_and_fidelity_paper_exactly():
+    # F_paper = a3^2 at sigma3, x = 0. Rebuilt from the density entries as
+    # (1 + a3)/2 - (1 - a3)/2, a3 = 4.8e-8 kept about 8 of its digits, and
+    # F_paper read 2.30399999757e-15
+    a = (-2.3e-8, 7.4e-9, 4.8e-8)
+    rep = full_report(KrausChannel(3, 0.0), a)
+    assert rep.bloch_in == a
+    assert _bits(rep.fidelity_paper) == _bits(closed_point(3, 0.0, a).fidelity_paper)
+    want = float(reference().point(3, 0.0, a)["fidelity_paper"])
+    assert abs(rep.fidelity_paper - want) <= 1e-15 * want
 
 
 @settings(max_examples=60, deadline=None)
 @given(axes(), retentions(), bloch_vectors())
 def test_full_report_is_consistent_with_pointwise_measures(axis, x, a):
     # every field against the 50-digit recomputation of the same point
-    rep = full_report(make_one_pauli(axis, x), _rho(a))
+    rep = full_report(make_one_pauli(axis, x), a)
     ref = reference().point(int(axis), x, a)
     want = dict(ref, lambdas=(ref["lambda_hi"], ref["lambda_lo"]),
                 thetas=(ref["theta_hi"], ref["theta_lo"]))
@@ -287,35 +295,44 @@ def test_full_report_is_consistent_with_pointwise_measures(axis, x, a):
 
 @pytest.mark.parametrize("axis", [1, 2, 3])
 def test_full_report_validates_once(monkeypatch, axis):
-    # check_density coerces rho once; the matrices full_report builds from
-    # it, and the closed-form F_paper, skip every further coercion
-    ch, rho = make_one_pauli(axis, 0.3), _rho((0.5, 0.6, 0.6))
+    # check_bloch coerces a once; the pairs full_report builds from it, and
+    # the closed-form F_paper, skip every further coercion, and no matrix
+    # is coerced at all
+    ch = make_one_pauli(axis, 0.3)
     validators = ("as_axis", "check_retention", "check_bloch")
-    calls = {"as_matrix": 0, **dict.fromkeys(validators, 0)}
+    calls = {}
 
     def counted(module, name):
-        original = getattr(module, name)
+        original, key = getattr(module, name), f"{module.__name__}.{name}"
+        calls[key] = 0
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     counted(linalg, "as_matrix")
-    monkeypatch.setattr(bloch, "as_matrix", linalg.as_matrix)
+    counted(bloch, "as_matrix")
+    counted(measures, "check_bloch")
     for name in validators:  # the point validation closed_point runs
         counted(closedform, name)
-    full_report(ch, rho)
-    assert calls == {"as_matrix": 1, **dict.fromkeys(validators, 0)}
+    full_report(ch, (0.5, 0.6, 0.6))
+    assert calls == {
+        "paulinoise.linalg.as_matrix": 0,
+        "paulinoise.bloch.as_matrix": 0,
+        "paulinoise.measures.check_bloch": 1,
+        **{f"paulinoise.closedform.{name}": 0 for name in validators},
+    }
 
 
 @pytest.mark.parametrize("axis", [1, 2, 3])
 def test_full_report_runs_the_eigenvalue_kernel_three_times(monkeypatch, axis):
     # one spectrum each of the input state, the output state and W: the
-    # state's spectrum from check_density's pass also gives h_in
-    ch, rho = make_one_pauli(axis, 0.3), _rho((0.5, 0.6, 0.6))
-    expected_in, kernel, spectra = hermitian_eigenvalues_2x2(rho), linalg._eigenvalues, []
+    # state's spectrum, of its density pairs, gives h_in
+    ch, a = make_one_pauli(axis, 0.3), (0.5, 0.6, 0.6)
+    expected_in = hermitian_eigenvalues_2x2(bloch_to_density(a))
+    kernel, spectra = linalg._eigenvalues, []
 
     def counted(m):
         spectra.append(kernel(m))
@@ -323,7 +340,7 @@ def test_full_report_runs_the_eigenvalue_kernel_three_times(monkeypatch, axis):
 
     for module in (linalg, bloch, measures):
         monkeypatch.setattr(module, "_eigenvalues", counted)
-    rep = full_report(ch, rho)
+    rep = full_report(ch, a)
     assert spectra == [expected_in, rep.thetas, rep.lambdas]
 
 
@@ -361,8 +378,8 @@ def test_full_report_is_bit_equal_to_report_batch(axis):
     rhos = [bloch_to_density(a) for a in KERNEL_STATES]
     batch = report_batch(_ops_pairs(channels), _state_pairs(rhos))
     for g, ch in enumerate(channels):
-        for s, rho in enumerate(rhos):
-            rep, at = full_report(ch, rho), (g, s)
+        for s, a in enumerate(KERNEL_STATES):
+            rep, at = full_report(ch, a), (g, s)
             assert _bits(rep.bloch_out) == _bits(_cell(batch["bloch_out"], at)), at
             assert _bits(rep.lambdas) == _bits(_cell(batch["lambdas"], at)), at
             assert _bits(rep.thetas) == _bits(_cell(batch["thetas"], at)), at
@@ -377,5 +394,5 @@ def test_oracle_is_bit_equal_to_its_batch_kernel(axis):
     channels = [KrausChannel(axis, x) for x in KERNEL_RATES]
     rhos = [bloch_to_density(a) for a in KERNEL_STATES]
     batch = environment_entropy_oracle_batch(_ops_pairs(channels), _state_pairs(rhos))
-    scalar = [[environment_entropy_oracle(ch, rho) for rho in rhos] for ch in channels]
+    scalar = [[environment_entropy_oracle(ch, a) for a in KERNEL_STATES] for ch in channels]
     assert _bits(scalar) == _bits(batch)

@@ -98,7 +98,9 @@ ALLOWED_SHARED = {
     },
     "oracle": {
         "KrausChannel": GUARD_OR_PRODUCT,
-        "_checked_density": GUARD_OR_PRODUCT,
+        # the state the route reads, as verify gives it to every route
+        "check_bloch": GUARD_OR_PRODUCT,
+        "_density_pairs": GUARD_OR_PRODUCT,
         "_vdot": SHARED_FORMULA,
         # split_spectrum's split, on the environment state
         "_eigenvalues": SHARED_FORMULA,

@@ -23,7 +23,6 @@ from helpers import IDENTITY, SIGMA1, reference_values
 from paulinoise import (
     BlochVector,
     ValidationError,
-    bloch_to_density,
     closedform,
     completeness_residual,
     full_report,
@@ -104,7 +103,7 @@ def test_random_blochs_reach_every_cell_within_200_states():
 def _scalar_point(axis, x, a):
     """Every route value at one point: the Kraus route from full_report,
     the closed-form and oracle values from the 50-digit reference."""
-    rep = full_report(make_one_pauli(axis, x), bloch_to_density(a))
+    rep = full_report(make_one_pauli(axis, x), a)
     ref = reference_values(axis, x, a)
     ak = a[axis - 1]
     predicted = 2.0 * (1.0 - x) * a.a2 * a.a2 if axis is PauliAxis.SIGMA2 else 0.0
@@ -217,7 +216,7 @@ def test_full_report_matches_reference_at_domain_edges(axis):
     # the scalar Kraus route, which prints every number of analyze and sweep
     for x, row in zip(EDGE_X, _edge_reference(axis)):
         for a, want in zip(_edge_states(), row):
-            report = full_report(make_one_pauli(axis, x), bloch_to_density(a))
+            report = full_report(make_one_pauli(axis, x), a)
             for field in EDGE_REPORT_FIELDS:
                 have, ref = np.array(getattr(report, field)), np.array(want[field])
                 if field in ("lambdas", "thetas"):
