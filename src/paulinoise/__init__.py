@@ -39,7 +39,7 @@ from .measures import (
     full_report,
 )
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 __all__ = [
     "BlochVector",

@@ -19,6 +19,7 @@ from .channels import (
 from .errors import NumericError, ValidationError
 from .measures import ChannelReport, full_report
 from .verify import (
+    CHECKS,
     REFERENCE_STATES,
     RESIDUAL_LIMIT,
     AxisVerification,
@@ -94,9 +95,10 @@ def format_verification(
             f"[{av.axis.token}] reference input "
             f"{format_bloch(REFERENCE_STATES[av.axis], 12)}"
         )
-        for name, value in av.residuals.items():
-            lines.append(f"  residual {name:<18} = {value:.3e}")
-        lines.append(f"  completeness residual       = {av.completeness_max:.3e}")
+        for label, value in av.residuals.items():
+            limit = CHECKS[label][2]
+            marker = "" if value <= limit else f"  > limit {limit:g}"  # NaN too
+            lines.append(f"  {label:<27} = {value:.3e}{marker}")
         if av.axis is PauliAxis.SIGMA2:
             lines.append(
                 f"  fidelity gap max |F_numeric - F_paper| = {av.gap_max:.12g}"
@@ -116,8 +118,9 @@ def format_verification(
             f"{av.reference_points}; endpoints C>0: {endpoints}"
         )
     verdict = "PASS" if all(av.passed for av in axes) else "FAIL"
-    # a NaN residual ranks worst: a bare max skips it unless it comes first
-    worst = max((r for av in axes for r in av.residuals.values()), key=lambda r: (r != r, r))
+    # over the cross-path rows; a NaN ranks worst: a bare max skips it unless it comes first
+    worst = max((r for av in axes for label, r in av.residuals.items() if CHECKS[label][1]),
+                key=lambda r: (r != r, r))
     lines.append(
         f"result: {verdict} (max cross-path residual {worst:.3e}, "
         f"limit {RESIDUAL_LIMIT:g})"

@@ -45,22 +45,22 @@ class ClosedFormPoint:
 
 def _lambda_radicand(x, ak):
     """1 - 4x(x-1)(a_k^2 - 1) as u u + 4x(1-x) a_k^2, u = 2x-1, which keeps a
-    tiny radicand (x near 1/2, tiny a_k) accurate; floats or arrays."""
-    u = 2.0 * x - 1.0
-    return u * u + 4.0 * x * (1.0 - x) * (ak * ak)
+    tiny radicand (x near 1/2, tiny a_k) accurate; floats, arrays or Fractions."""
+    u = 2 * x - 1
+    return u * u + 4 * x * (1 - x) * (ak * ak)
 
 
 def _theta_radicand(x, ak, transverse_sq):
-    """a_k^2 + t^2 (u u), u = 1-2x, for floats or broadcastable arrays."""
-    u = 1.0 - 2.0 * x
+    """a_k^2 + t^2 (u u), u = 1-2x, for floats, broadcastable arrays or Fractions."""
+    u = 1 - 2 * x
     return ak * ak + transverse_sq * (u * u)
 
 
 def _fidelity_paper(axis: PauliAxis, x, ak):
     """a_k^2 (1-x) + x, the a_k^2 term negated on axis 2 as printed; for
-    floats or broadcastable arrays."""
-    sign = -1.0 if axis is PauliAxis.SIGMA2 else 1.0
-    return sign * ak * ak * (1.0 - x) + x
+    floats, broadcastable arrays or Fractions."""
+    sign = -1 if axis is PauliAxis.SIGMA2 else 1
+    return sign * ak * ak * (1 - x) + x
 
 
 def fidelity_paper_closed(axis, x, a) -> float:
@@ -95,7 +95,7 @@ def closed_batch(axis: PauliAxis, x, a) -> dict:
     ak = a[k]
     t1, t2 = (a[i] for i in range(3) if i != k)
     transverse_sq = t1 * t1 + t2 * t2
-    u = 2.0 * x - 1.0
+    u = 2 * x - 1
     lambdas = split_spectrum(1.0, _lambda_radicand(x, ak), "radicand")
     thetas = split_spectrum(1.0, _theta_radicand(x, ak, transverse_sq), "radicand")
     noise = _entropy(lambdas)

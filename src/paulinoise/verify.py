@@ -6,8 +6,8 @@ arrays of G grid retention rates by S input states, seeded quasi-random
 Bloch vectors and one reference input: the Kraus route from the (re, im)
 pairs of the Kraus operators and states, the closed forms from x and the Bloch
 components only, and the oracle from its own dilation of each state. The
-report then reduces the route arrays: every residual is the largest
-absolute difference of one pair of arrays named in RESIDUAL_ROUTES.
+report then reduces the route arrays as the rows of CHECKS say, and the gate
+holds each value to its row's limit.
 """
 
 from __future__ import annotations
@@ -46,32 +46,32 @@ REFERENCE_STATES = {
     PauliAxis.SIGMA3: BlochVector(0.6, 0.6, 0.5),
 }
 
-# Residual label, as verify prints it -> the two route arrays whose largest
-# absolute difference it reports. Route arrays are keyed "route.quantity";
-# the identity route holds the fidelity formulas x + (1-x) a_k^2 and, for
-# the axis-2 gap F_numeric - F_paper, its predicted value 2(1-x) a2^2.
-RESIDUAL_ROUTES = {
-    "bloch_out": ("kraus.bloch_out", "closed.b"),
-    "lambda": ("kraus.lambdas", "closed.lambdas"),
-    "theta": ("kraus.thetas", "closed.thetas"),
-    "noise": ("kraus.noise_n", "closed.noise_n"),
-    "coherent": ("kraus.coherent_c", "closed.coherent_c"),
-    "oracle_vs_w": ("kraus.noise_n", "oracle.noise_n"),
-    "fidelity_identity": ("kraus.fidelity_numeric", "identity.fidelity"),
-    "fidelity_closed": ("fidelity_gap", "identity.fidelity_gap"),
+# Check label, as verify prints it -> (route a, route b or None, limit): the
+# gate holds max |a - b|, or max a, to the limit. Route arrays are keyed
+# "route.quantity"; the identity route holds the fidelity formulas x + (1-x) a_k^2
+# and, for the axis-2 gap F_numeric - F_paper, its predicted value 2(1-x) a2^2.
+CHECKS = {
+    "residual bloch_out": ("kraus.bloch_out", "closed.b", RESIDUAL_LIMIT),
+    "residual lambda": ("kraus.lambdas", "closed.lambdas", RESIDUAL_LIMIT),
+    "residual theta": ("kraus.thetas", "closed.thetas", RESIDUAL_LIMIT),
+    "residual noise": ("kraus.noise_n", "closed.noise_n", RESIDUAL_LIMIT),
+    "residual coherent": ("kraus.coherent_c", "closed.coherent_c", RESIDUAL_LIMIT),
+    "residual oracle_vs_w": ("kraus.noise_n", "oracle.noise_n", RESIDUAL_LIMIT),
+    "residual fidelity_identity": ("kraus.fidelity_numeric", "identity.fidelity", RESIDUAL_LIMIT),
+    "residual fidelity_closed": ("fidelity_gap", "identity.fidelity_gap", RESIDUAL_LIMIT),
+    "completeness residual": ("completeness", None, COMPLETENESS_TOL),
 }
 
 
 @dataclass(frozen=True)
 class AxisVerification:
-    """Maximum cross-path residuals for one channel axis, plus the
+    """The value of every CHECKS row for one channel axis, plus the
     coherent-information sign counts: C > RESIDUAL_LIMIT counts as
     positive, |C| <= RESIDUAL_LIMIT as zero, C < -RESIDUAL_LIMIT as
     negative."""
 
     axis: PauliAxis
-    residuals: Mapping[str, float]  # read-only, keyed and ordered as RESIDUAL_ROUTES
-    completeness_max: float
+    residuals: Mapping[str, float]  # read-only, keyed and ordered as CHECKS
     gap_max: float
     gap_predicted_at_max: float
     c_positive: int
@@ -84,10 +84,8 @@ class AxisVerification:
 
     @property
     def passed(self) -> bool:
-        return (
-            all(r <= RESIDUAL_LIMIT for r in self.residuals.values())
-            and self.completeness_max <= COMPLETENESS_TOL
-        )
+        """Every row's value at most its limit; NaN compares false, so it fails."""
+        return all(self.residuals[label] <= limit for label, (*_, limit) in CHECKS.items())
 
 
 def random_blochs(seed: int) -> Iterator[BlochVector]:
@@ -112,7 +110,7 @@ def axis_routes(
     axis: PauliAxis, grid: list[float], states: list[BlochVector]
 ) -> dict:
     """Every route ndarray of one axis, keyed "route.quantity" as in
-    RESIDUAL_ROUTES, with leading shape (G, S) over the retention rates in
+    CHECKS, with leading shape (G, S) over the retention rates in
     grid and the Bloch vectors in states; "completeness" has shape (G,).
 
     Inputs are valid by construction: each channel checks its axis and x, and the
@@ -145,8 +143,8 @@ def axis_routes(
 
 
 def reduce_routes(axis: PauliAxis, routes: dict) -> AxisVerification:
-    """Residual maxima and C sign counts of one axis; the last state is the
-    axis's reference input."""
+    """The CHECKS values and C sign counts of one axis; the last state is
+    the axis's reference input."""
     import numpy as np
     gap = routes["fidelity_gap"]
     at = np.unravel_index(np.argmax(gap), gap.shape)
@@ -160,10 +158,9 @@ def reduce_routes(axis: PauliAxis, routes: dict) -> AxisVerification:
     return AxisVerification(
         axis=axis,
         residuals=MappingProxyType({
-            name: float(np.max(np.abs(routes[route_a] - routes[route_b])))
-            for name, (route_a, route_b) in RESIDUAL_ROUTES.items()
+            label: float(np.max(routes[a] if b is None else np.abs(routes[a] - routes[b])))
+            for label, (a, b, _) in CHECKS.items()
         }),
-        completeness_max=float(routes["completeness"].max()),
         gap_max=gap_max,
         gap_predicted_at_max=gap_predicted,
         c_positive=int(positive.sum()),

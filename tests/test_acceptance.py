@@ -64,7 +64,7 @@ def _record(number: int, ok: bool, detail: str) -> bool:
 def test_criterion_1_cross_path_equivalence(verification, cli_verify):
     names = ("bloch_out", "lambda", "theta", "noise", "coherent")
     worst = max(
-        av.residuals[name] for av in verification for name in names
+        av.residuals[f"residual {name}"] for av in verification for name in names
     )
     rc, _ = cli_verify
     ok = worst <= 1e-10 and rc == 0
@@ -77,7 +77,7 @@ def test_criterion_1_cross_path_equivalence(verification, cli_verify):
 
 
 def test_criterion_2_dilation_oracle(verification):
-    worst = max(av.residuals["oracle_vs_w"] for av in verification)
+    worst = max(av.residuals["residual oracle_vs_w"] for av in verification)
     ok = worst <= 1e-10
     assert _record(
         2, ok,
@@ -87,7 +87,7 @@ def test_criterion_2_dilation_oracle(verification):
 
 
 def test_criterion_3_completeness_and_state_validity(verification):
-    worst_completeness = max(av.completeness_max for av in verification)
+    worst_completeness = max(av.residuals["completeness residual"] for av in verification)
     worst_herm = 0.0
     worst_trace = 0.0
     lowest_eigenvalue = 1.0
@@ -183,7 +183,7 @@ def test_criterion_5_symmetries():
 
 def test_criterion_6_sigma2_fidelity_discrepancy(verification, cli_verify, tmp_path):
     sigma2 = verification[PauliAxis.SIGMA2 - 1]
-    identity_residual = sigma2.residuals["fidelity_closed"]
+    identity_residual = sigma2.residuals["residual fidelity_closed"]
 
     path = tmp_path / "sigma2.csv"
     reports = sweep_reports(

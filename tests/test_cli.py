@@ -299,7 +299,7 @@ def test_run_verification_structure():
     for av in axes:
         assert av.points == 5 * 3  # grid x (samples + reference)
         assert av.reference_points == 5
-        assert av.completeness_max <= 1e-13
+        assert av.residuals["completeness residual"] <= 1e-13
     sigma2 = axes[PauliAxis.SIGMA2 - 1]
     assert sigma2.gap_max > 0
     assert sigma2.gap_predicted_at_max == pytest.approx(sigma2.gap_max, abs=1e-12)

@@ -1,4 +1,6 @@
+import itertools
 from dataclasses import asdict
+from fractions import Fraction
 from math import sqrt
 
 import numpy as np
@@ -16,8 +18,11 @@ from paulinoise import (
     make_one_pauli,
 )
 from paulinoise import NumericError, closedform
+from paulinoise.bloch import _density_pairs
+from paulinoise.channels import _FLIPS, _KEEP
 from paulinoise.closedform import closed_batch
 from paulinoise.linalg import ROUNDING_TOL
+from paulinoise.measures import _kraus_contraction
 
 H_REF = 0.06412343509793366        # binary entropy of (1 + sqrt(0.97))/2
 H_THREE_QUARTERS = 0.8112781244591328
@@ -271,3 +276,48 @@ def test_spectra_invariant_under_retention_reflection(axis, x, a):
         direct, mirrored = getattr(point, field), getattr(image, field)
         assert direct.hi == pytest.approx(mirrored.hi, abs=1e-12)
         assert direct.lo == pytest.approx(mirrored.lo, abs=1e-12)
+
+
+# Exact transcription check. At t in [0, 1] the Kraus roots sqrt(x) = 2t/(1+t^2)
+# and sqrt(1-x) = (1-t^2)/(1+t^2) are rational (Euclid's parametrization of
+# Pythagorean triples; t = 0 and 1 give x = 0 and 1), and so are states with
+# components in {0, +-2/7, +-4/7}. The Kraus contraction and the closed-form
+# polynomials then run on Fractions with no rounding, so every identity
+# between them holds with ==, and a transcription slip of any size fails it.
+RATIONAL_T = sorted({Fraction(p, q) for q in range(1, 7) for p in range(q + 1)})
+# every ninth of the 125 component triples, which touches every value on every axis
+RATIONAL_STATES = list(itertools.islice(itertools.product(
+    (Fraction(n, 7) for n in (0, 2, -2, 4, -4)), repeat=3), 0, None, 9))
+
+
+def _disc(m):
+    """(m00 - m11)^2 + 4 Re(m01 m10) of row-major (re, im) pairs, as
+    linalg._eigenvalues forms the discriminant."""
+    (r00, _), (r01, i01), (r10, i10), (r11, _) = m
+    return (r00 - r11) * (r00 - r11) + 4 * (r01 * r10 - i01 * i10)
+
+
+@pytest.mark.parametrize("axis", list(PauliAxis), ids=lambda axis: axis.token)
+def test_closed_forms_are_exact_at_rational_points(axis):
+    k = axis - 1
+    mismatches = []
+    for t in RATIONAL_T:
+        keep, flip = 2 * t / (1 + t * t), (1 - t * t) / (1 + t * t)
+        x = keep * keep
+        ops = tuple(tuple((s * Fraction(e), 0) for e in entries)
+                    for s, entries in ((keep, _KEEP), (flip, _FLIPS[k])))
+        for a in RATIONAL_STATES:
+            out, w, fidelity, _ = _kraus_contraction(ops, _density_pairs(*a))
+            ak = a[k]
+            transverse_sq = sum(c * c for c in a) - ak * ak
+            gap = 2 * (1 - x) * ak * ak if axis is PauliAxis.SIGMA2 else 0
+            # name -> (expected, the package's value), which must be a Fraction
+            checks = {
+                "lambda": (_disc(w), closedform._lambda_radicand(x, ak)),
+                "theta": (_disc(out), closedform._theta_radicand(x, ak, transverse_sq)),
+                "fidelity": (x + (1 - x) * ak * ak, fidelity),
+                "gap": (gap, fidelity - closedform._fidelity_paper(axis, x, ak)),
+            }
+            mismatches += [(name, x, a) for name, (want, have) in checks.items()
+                           if type(have) is not Fraction or have != want]
+    assert mismatches == []

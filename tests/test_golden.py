@@ -9,11 +9,13 @@ The golden files in tests/golden/ hold:
 - sweep_sigma{1,2,3}.csv: `sweep --steps 201` for each axis at its
   verification reference input;
 - verify.txt: `verify --grid 101 --samples 100 --seed 1` stdout;
-- route_bits.json: the sha256 of the bytes of every route array that
-  RESIDUAL_ROUTES names, keyed by axis, residual label and side, plus the
-  completeness and kraus.coherent_c arrays, from axis_routes on an edge grid
-  (ROUTE_BITS_GRID by ROUTE_BITS_STATES). Printed output rounds; this file
-  pins every bit of the arrays behind it.
+- route_bits.json: the sha256 of the bytes of every route array that a
+  verify.CHECKS row names, keyed by axis and by the row's label less the
+  word "residual": a list of both sides for a two-route row, one hash for
+  the one-route completeness row; plus the kraus.coherent_c array. The
+  arrays come from axis_routes on an edge grid (ROUTE_BITS_GRID by
+  ROUTE_BITS_STATES). Printed output rounds; this file pins every bit of
+  the arrays behind it.
 
 Run this file as a script to rewrite the golden files from the current
 code; `git diff tests/golden` then shows every byte that changed.
@@ -32,7 +34,7 @@ import pytest
 from paulinoise.bloch import BlochVector
 from paulinoise.channels import PauliAxis, retention_grid
 from paulinoise.cli import main
-from paulinoise.verify import REFERENCE_STATES, RESIDUAL_ROUTES, axis_routes, random_blochs
+from paulinoise.verify import CHECKS, REFERENCE_STATES, axis_routes, random_blochs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -112,12 +114,11 @@ def route_bits() -> dict:
     bits = {}
     for axis in PauliAxis:
         routes = axis_routes(axis, ROUTE_BITS_GRID, ROUTE_BITS_STATES)
-        bits[axis.token] = {
-            "completeness": _sha256(routes["completeness"]),
-            "kraus.coherent_c": _sha256(routes["kraus.coherent_c"]),
-            **{label: [_sha256(routes[side]) for side in sides]
-               for label, sides in RESIDUAL_ROUTES.items()},
-        }
+        bits[axis.token] = {"kraus.coherent_c": _sha256(routes["kraus.coherent_c"])}
+        for label, (route_a, route_b, _) in CHECKS.items():
+            key = label.replace("residual", "").strip()
+            sides = [_sha256(routes[route]) for route in (route_a, route_b) if route]
+            bits[axis.token][key] = sides if route_b else sides[0]
     return bits
 
 

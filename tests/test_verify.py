@@ -5,9 +5,9 @@ Grid 11 puts x = 0, 1/2 and 1 on the grid. The Kraus route arrays must
 match full_report point by point, the closed-form and oracle arrays the
 mpmath reference (closed_point is closed_batch on floats and the scalar
 oracle the batch oracle on Python floats, so neither can serve as a
-reference). The report must be exactly the reduction of the route arrays,
-and the gate must fail once one route drifts by 2e-10 or a residual is
-NaN. At the domain edges every route, and full_report point by point, must
+reference). The report must be exactly the reduction of the route arrays
+that the CHECKS rows name, and the gate must fail, naming the row and its
+limit, once any row's route drifts by twice its limit or a residual is NaN. At the domain edges every route, and full_report point by point, must
 match the reference within 1e-13.
 """
 
@@ -34,9 +34,9 @@ from paulinoise.channels import PauliAxis, retention_grid
 from paulinoise.cli import main
 from paulinoise.linalg import _pairs
 from paulinoise.verify import (
+    CHECKS,
     REFERENCE_STATES,
     RESIDUAL_LIMIT,
-    RESIDUAL_ROUTES,
     axis_routes,
     random_blochs,
     run_verification,
@@ -231,11 +231,11 @@ def _loop_reduction(axis, grid, states):
     route arrays, sign counts and gap from the scalar API."""
     routes = axis_routes(axis, grid, states)
     maxima = {}
-    for name, (route_a, route_b) in RESIDUAL_ROUTES.items():
-        worst = 0.0
-        for u, v in zip(routes[route_a].ravel(), routes[route_b].ravel()):
-            worst = max(worst, abs(float(u) - float(v)))
-        maxima[name] = worst
+    for label, (route_a, route_b, _) in CHECKS.items():
+        values = [float(u) for u in routes[route_a].ravel()]
+        if route_b is not None:
+            values = [abs(u - float(v)) for u, v in zip(values, routes[route_b].ravel())]
+        maxima[label] = max(values)
     counts = {"c_positive": 0, "c_zero": 0, "c_negative": 0, "points": 0,
               "c_positive_reference": 0, "reference_points": 0}
     gap_max, gap_predicted = 0.0, 0.0
@@ -273,7 +273,7 @@ def test_report_equals_per_point_reduction(seed):
             av.points - len(states), len(states), 0,
         )
         assert av.endpoints_c_positive
-        assert av.completeness_max <= 1e-13
+        assert av.residuals["completeness residual"] <= 1e-13
         assert av.passed
 
 
@@ -347,24 +347,59 @@ def test_incomplete_kraus_stack_fails_the_gate(monkeypatch, capsys):
     assert "result: FAIL" in out
 
 
+@pytest.mark.parametrize("label", list(CHECKS))
+def test_every_check_gates(monkeypatch, capsys, label):
+    # route a of one row drifts by twice the row's limit; only that row's
+    # lines need the marker, since a shared route fails other rows too
+    route_a, _, limit = CHECKS[label]
+
+    def drifted(axis, grid, states):
+        routes = axis_routes(axis, grid, states)
+        routes[route_a] = routes[route_a] + 2.0 * limit
+        return routes
+
+    monkeypatch.setattr(verify, "axis_routes", drifted)
+    rc = main(["verify", "--grid", "5", "--samples", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 2
+    assert lines[-1].startswith("result: FAIL (max cross-path residual ")
+    rows = [line for line in lines if line.startswith(f"  {label:<27} = ")]
+    assert len(rows) == 3
+    assert all(row.endswith(f"  > limit {limit:g}") for row in rows)
+
+
+def test_a_completeness_failure_names_its_row_and_limit(monkeypatch, capsys):
+    # every cross-path residual passes, so the result line's worst value
+    # does too; only the marked row says what failed
+    monkeypatch.setattr(verify, "completeness_residual", lambda ch: 2e-13)
+    rc = main(["verify", "--grid", "5", "--samples", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 2
+    assert [line for line in lines if "> limit" in line] == [
+        "  completeness residual       = 2.000e-13  > limit 1e-13"] * 3
+    assert lines[-1].startswith("result: FAIL (max cross-path residual ")
+    assert lines[-1].endswith(", limit 1e-10)")
+
+
 def test_completeness_alone_fails_an_axis():
     av = run_verification(3, 1, 1)[0]
     assert av.passed
-    assert not dataclasses.replace(av, completeness_max=2e-13).passed
+    residuals = {**av.residuals, "completeness residual": 2e-13}
+    assert not dataclasses.replace(av, residuals=residuals).passed
 
 
 def test_axis_record_is_frozen():
     av = run_verification(3, 1, 1)[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        av.completeness_max = 1.0
+        av.residuals = {}
 
 
 def test_axis_record_residuals_are_read_only():
     # the gate reads the residuals, so they cannot change once the record is built
     av = run_verification(3, 1, 1)[0]
     with pytest.raises(TypeError):
-        av.residuals["lambda"] = 5.0
-    assert list(av.residuals) == list(RESIDUAL_ROUTES)
+        av.residuals["residual lambda"] = 5.0
+    assert list(av.residuals) == list(CHECKS)
     assert av.passed
 
 
