@@ -14,7 +14,6 @@ matrix reproducible entry by entry against its closed form.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from enum import IntEnum
 from math import hypot, sqrt
 from numbers import Integral
@@ -86,24 +85,38 @@ def retention_grid(steps) -> list[float]:
     return [i / (steps - 1) for i in range(steps)]
 
 
-@dataclass(frozen=True)
 class KrausChannel:
-    """The one-Pauli channel of an axis and a retention rate x, compared and
-    hashed by (axis, x). Its Kraus operators ops = (A1, A2), each four row-major
-    (re, im) pairs, come once from (axis, x); their order indexes the exchange matrix."""
+    """The one-Pauli channel of an axis and a retention rate x, read-only, compared and
+    hashed by (axis, x). Its Kraus operators ops = (A1, A2), each four row-major (re, im)
+    pairs, come once from (axis, x); their order indexes the exchange matrix. __init__
+    validates, and builds every copy and unpickled channel too (__reduce__)."""
 
-    axis: PauliAxis
-    x: float
-    ops: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("axis", "x", "ops")
 
-    def __post_init__(self):
-        axis = as_axis(self.axis)
-        x = check_retention(self.x)
+    def __init__(self, axis, x):
+        axis, x = as_axis(axis), check_retention(x)
         scaled = ((sqrt(x), _KEEP), (sqrt(1.0 - x), _FLIPS[axis - 1]))
         ops = tuple(tuple((s * e, 0.0) for e in entries) for s, entries in scaled)
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "ops", ops)
+        for name, value in zip(self.__slots__, (axis, x, ops)):
+            object.__setattr__(self, name, value)
+
+    def _read_only(self, name, *_):
+        raise AttributeError(f"cannot assign or delete KrausChannel.{name}")
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        same = type(other) is KrausChannel
+        return (self.axis, self.x) == (other.axis, other.x) if same else NotImplemented
+
+    def __hash__(self):
+        return hash((self.axis, self.x))
+
+    def __repr__(self):
+        return f"KrausChannel(axis={self.axis!r}, x={self.x!r})"
+
+    def __reduce__(self):
+        return KrausChannel, (self.axis, self.x)
 
 
 def make_one_pauli(axis, x) -> KrausChannel:

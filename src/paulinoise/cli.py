@@ -18,15 +18,6 @@ from .channels import (
 )
 from .errors import NumericError, ValidationError
 from .measures import ChannelReport, full_report
-from .verify import (
-    CHECKS,
-    REFERENCE_STATES,
-    RESIDUAL_LIMIT,
-    AxisVerification,
-    check_samples,
-    check_seed,
-    run_verification,
-)
 
 CSV_HEADER = "x,N,C,F_numeric,F_paper,H_out,lambda_hi,theta_hi,b1,b2,b3"
 DEFAULT_PRECISION = 12
@@ -83,52 +74,6 @@ def write_sweep_csv(
 
 
 # ---------------------------------------------------------------------------
-# verification
-
-
-def format_verification(
-    grid_steps: int, samples: int, seed: int, axes: tuple[AxisVerification, ...]
-) -> str:
-    lines = [f"grid = {grid_steps}, samples = {samples}, seed = {seed}"]
-    for av in axes:
-        lines.append(
-            f"[{av.axis.token}] reference input "
-            f"{format_bloch(REFERENCE_STATES[av.axis], 12)}"
-        )
-        for label, value in av.residuals.items():
-            limit = CHECKS[label][2]
-            marker = "" if value <= limit else f"  > limit {limit:g}"  # NaN too
-            lines.append(f"  {label:<27} = {value:.3e}{marker}")
-        if av.axis is PauliAxis.SIGMA2:
-            lines.append(
-                f"  fidelity gap max |F_numeric - F_paper| = {av.gap_max:.12g}"
-            )
-            lines.append(
-                f"  fidelity gap predicted 2(1-x)a2^2      = "
-                f"{av.gap_predicted_at_max:.12g}"
-            )
-        lines.append(f"  C>0 points = {av.c_positive} of {av.points}")
-        lines.append(
-            f"  |C|<={RESIDUAL_LIMIT:g} points = {av.c_zero}; "
-            f"C<-{RESIDUAL_LIMIT:g} points = {av.c_negative}"
-        )
-        endpoints = "yes" if av.endpoints_c_positive else "no"
-        lines.append(
-            f"  C>0 points (reference input) = {av.c_positive_reference} of "
-            f"{av.reference_points}; endpoints C>0: {endpoints}"
-        )
-    verdict = "PASS" if all(av.passed for av in axes) else "FAIL"
-    # over the cross-path rows; a NaN ranks worst: a bare max skips it unless it comes first
-    worst = max((r for av in axes for label, r in av.residuals.items() if CHECKS[label][1]),
-                key=lambda r: (r != r, r))
-    lines.append(
-        f"result: {verdict} (max cross-path residual {worst:.3e}, "
-        f"limit {RESIDUAL_LIMIT:g})"
-    )
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
@@ -176,7 +121,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def run_verification(grid_steps: int, samples: int, seed: int) -> tuple:
+    """verify.run_verification, imported on call: no other command loads verify.py."""
+    from . import verify
+    return verify.run_verification(grid_steps, samples, seed)
+
+
 def cmd_verify(args) -> int:
+    from .verify import check_samples, check_seed, format_verification
     # The same checks run_verification makes, each named by its flag.
     grid_steps = len(_flagged("--grid", retention_grid, args.grid))
     samples = _flagged("--samples", check_samples, args.samples)

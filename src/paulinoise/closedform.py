@@ -15,15 +15,14 @@ the trace-form definition; see fidelity_paper_closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bloch import BlochVector, check_bloch
 from .channels import PauliAxis, as_axis, check_retention
 from .linalg import SpectrumPair, _entropy, split_spectrum
 
 
-@dataclass(frozen=True)
-class ClosedFormPoint:
+class ClosedFormPoint(NamedTuple):
     """All closed-form quantities at one operating point (axis, x, a), as
     printed, with k the channel axis and t^2 = |a|^2 - a_k^2; the caller
     holds the point, so the record does not repeat it:
@@ -54,6 +53,11 @@ def _theta_radicand(x, ak, transverse_sq):
     """a_k^2 + t^2 (u u), u = 1-2x, for floats, broadcastable arrays or Fractions."""
     u = 1 - 2 * x
     return ak * ak + transverse_sq * (u * u)
+
+
+def _bloch_out(axis: PauliAxis, x, a):
+    """b: a_k kept, the transverse components times 2x-1; floats, arrays or Fractions."""
+    return BlochVector(*(a[i] if i == axis - 1 else (2 * x - 1) * a[i] for i in range(3)))
 
 
 def _fidelity_paper(axis: PauliAxis, x, ak):
@@ -95,12 +99,11 @@ def closed_batch(axis: PauliAxis, x, a) -> dict:
     ak = a[k]
     t1, t2 = (a[i] for i in range(3) if i != k)
     transverse_sq = t1 * t1 + t2 * t2
-    u = 2 * x - 1
     lambdas = split_spectrum(1.0, _lambda_radicand(x, ak), "radicand")
     thetas = split_spectrum(1.0, _theta_radicand(x, ak, transverse_sq), "radicand")
     noise = _entropy(lambdas)
     return {
-        "b": BlochVector(*(ak if i == k else u * a[i] for i in range(3))),
+        "b": _bloch_out(axis, x, a),
         "lambdas": lambdas,
         "thetas": thetas,
         "noise_n": noise,

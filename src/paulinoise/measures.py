@@ -21,7 +21,7 @@ so none depends on the BLAS kernel or on numpy's SIMD dispatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import closedform
 from .bloch import BlochVector, _density_pairs, check_bloch
@@ -29,8 +29,7 @@ from .channels import KrausChannel
 from .linalg import SpectrumPair, _eigenvalues, _entropy, _vdot
 
 
-@dataclass(frozen=True)
-class ChannelReport:
+class ChannelReport(NamedTuple):
     """Every measure at one operating point."""
 
     x: float

@@ -6,16 +6,17 @@ arrays of G grid retention rates by S input states, seeded quasi-random
 Bloch vectors and one reference input: the Kraus route from the (re, im)
 pairs of the Kraus operators and states, the closed forms from x and the Bloch
 components only, and the oracle from its own dilation of each state. The
-report then reduces the route arrays as the rows of CHECKS say, and the gate
-holds each value to its row's limit.
+report then reduces the route arrays as the rows of CHECKS say, the gate
+holds each value to its row's limit, and format_verification prints what
+the verify command prints. Only that command imports this module, through
+cli.run_verification, so no other command loads or compiles it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from . import closedform, measures
 from .bloch import BlochVector, _density_pairs
@@ -63,8 +64,7 @@ CHECKS = {
 }
 
 
-@dataclass(frozen=True)
-class AxisVerification:
+class AxisVerification(NamedTuple):
     """The value of every CHECKS row for one channel axis, plus the
     coherent-information sign counts: C > RESIDUAL_LIMIT counts as
     positive, |C| <= RESIDUAL_LIMIT as zero, C < -RESIDUAL_LIMIT as
@@ -200,3 +200,39 @@ def run_verification(
         states.append(REFERENCE_STATES[axis])
         axes.append(reduce_routes(axis, axis_routes(axis, grid, states)))
     return tuple(axes)
+
+
+def format_verification(
+    grid_steps: int, samples: int, seed: int, axes: tuple[AxisVerification, ...]
+) -> str:
+    lines = [f"grid = {grid_steps}, samples = {samples}, seed = {seed}"]
+    for av in axes:
+        reference = ",".join(f"{c:.12g}" for c in REFERENCE_STATES[av.axis])
+        lines.append(f"[{av.axis.token}] reference input {reference}")
+        for label, value in av.residuals.items():
+            limit = CHECKS[label][2]
+            marker = "" if value <= limit else f"  > limit {limit:g}"  # NaN too
+            lines.append(f"  {label:<27} = {value:.3e}{marker}")
+        if av.axis is PauliAxis.SIGMA2:
+            lines.append(f"  fidelity gap max |F_numeric - F_paper| = {av.gap_max:.12g}")
+            lines.append("  fidelity gap predicted 2(1-x)a2^2      = "
+                         f"{av.gap_predicted_at_max:.12g}")
+        lines.append(f"  C>0 points = {av.c_positive} of {av.points}")
+        lines.append(
+            f"  |C|<={RESIDUAL_LIMIT:g} points = {av.c_zero}; "
+            f"C<-{RESIDUAL_LIMIT:g} points = {av.c_negative}"
+        )
+        endpoints = "yes" if av.endpoints_c_positive else "no"
+        lines.append(
+            f"  C>0 points (reference input) = {av.c_positive_reference} of "
+            f"{av.reference_points}; endpoints C>0: {endpoints}"
+        )
+    verdict = "PASS" if all(av.passed for av in axes) else "FAIL"
+    # over the cross-path rows; a NaN ranks worst: a bare max skips it unless it comes first
+    worst = max((r for av in axes for label, r in av.residuals.items() if CHECKS[label][1]),
+                key=lambda r: (r != r, r))
+    lines.append(
+        f"result: {verdict} (max cross-path residual {worst:.3e}, "
+        f"limit {RESIDUAL_LIMIT:g})"
+    )
+    return "\n".join(lines)

@@ -20,7 +20,6 @@ from paulinoise.bloch import BlochVector
 from paulinoise.channels import PauliAxis
 from paulinoise.cli import (
     CSV_HEADER,
-    REFERENCE_STATES,
     main,
     retention_grid,
     run_verification,
@@ -29,7 +28,7 @@ from paulinoise.cli import (
 )
 from paulinoise.linalg import _pairs, hermitian_eigenvalues_2x2
 from paulinoise.measures import _kraus_contraction, full_report
-from paulinoise.verify import random_blochs
+from paulinoise.verify import REFERENCE_STATES, random_blochs
 
 GRID = 101
 SAMPLES = 100

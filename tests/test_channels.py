@@ -1,3 +1,5 @@
+import copy
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -176,6 +178,25 @@ def test_channel_is_a_value_of_axis_and_rate():
     assert ch != KrausChannel(1, 0.25)
     assert ch != KrausChannel(3, 0.5)
     assert len({ch, make_one_pauli(PauliAxis.SIGMA1, 0.5)}) == 1
+    assert repr(ch) == "KrausChannel(axis=<PauliAxis.SIGMA1: 1>, x=0.5)"
+    # a value of its own type, not a tuple: it equals no (axis, x) pair
+    assert ch != (PauliAxis.SIGMA1, 0.5) and not isinstance(ch, tuple)
+
+
+def test_no_public_path_builds_an_unvalidated_channel(monkeypatch):
+    # a channel has no _replace or _make (as a tuple subclass would), no
+    # __replace__ (copy.replace) and no __dict__; a copy or an unpickled
+    # channel is rebuilt from (axis, x) by __init__, which validates
+    ch = KrausChannel(3, 0.25)
+    for name in ("_replace", "_make", "__replace__", "__dict__"):
+        assert not hasattr(ch, name), name
+    validated = []
+    check = channels.check_retention
+    monkeypatch.setattr(channels, "check_retention",
+                        lambda x: validated.append(x) or check(x))
+    copies = [copy.copy(ch), copy.deepcopy(ch), pickle.loads(pickle.dumps(ch))]
+    assert validated == [0.25] * 3
+    assert all(c == ch and c.ops == ch.ops and c is not ch for c in copies)
 
 
 def test_kraus_operators_and_pauli_constants_are_read_only():

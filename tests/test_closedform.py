@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import asdict
 from fractions import Fraction
 from math import sqrt
 
@@ -148,7 +147,7 @@ def test_fidelity_paper_closed_equals_closed_batch_bitwise(axis):
              for field, v in batch.items()}
     for g, x in enumerate(grid):
         for s, a in enumerate(states):
-            for field, value in asdict(closed_point(axis, x, a)).items():
+            for field, value in closed_point(axis, x, a)._asdict().items():
                 have = np.array(value, dtype=float).tobytes()
                 assert have == cells[field][g, s].tobytes(), (field, x, a)
 
@@ -307,7 +306,7 @@ def test_closed_forms_are_exact_at_rational_points(axis):
         ops = tuple(tuple((s * Fraction(e), 0) for e in entries)
                     for s, entries in ((keep, _KEEP), (flip, _FLIPS[k])))
         for a in RATIONAL_STATES:
-            out, w, fidelity, _ = _kraus_contraction(ops, _density_pairs(*a))
+            out, w, fidelity, bloch_out = _kraus_contraction(ops, _density_pairs(*a))
             ak = a[k]
             transverse_sq = sum(c * c for c in a) - ak * ak
             gap = 2 * (1 - x) * ak * ak if axis is PauliAxis.SIGMA2 else 0
@@ -318,6 +317,9 @@ def test_closed_forms_are_exact_at_rational_points(axis):
                 "fidelity": (x + (1 - x) * ak * ak, fidelity),
                 "gap": (gap, fidelity - closedform._fidelity_paper(axis, x, ak)),
             }
+            # bloch_out == b, one check per component
+            b = closedform._bloch_out(axis, x, a)
+            checks.update((f"b{i + 1}", pair) for i, pair in enumerate(zip(bloch_out, b)))
             mismatches += [(name, x, a) for name, (want, have) in checks.items()
                            if type(have) is not Fraction or have != want]
     assert mismatches == []

@@ -1,6 +1,7 @@
 """numpy is loaded on first array use, never by the import or the float
-routes. Each check runs in a fresh interpreter, since this process has
-imported numpy long before any test runs."""
+routes; dataclasses never, and the verify engine by the verify command
+only. Each check runs in a fresh interpreter, since this process has
+imported all three long before any test runs."""
 
 import os
 import subprocess
@@ -122,3 +123,36 @@ def test_closed_point_runs_without_numpy_and_full_report_names_it():
         "numpy",
         "linalg._eigenvalues",
     ]
+
+
+# Each step, then a check that neither the dataclass machinery (dataclasses
+# pulls in inspect, ast, dis and tokenize) nor the verify engine is loaded:
+# no record type is a dataclass, and only the verify command imports verify.py.
+_COLD_START = """
+import contextlib, io, sys
+
+def loaded():
+    return [name for name in ("dataclasses", "paulinoise.verify") if name in sys.modules]
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(argv) != 0:
+            sys.exit(f"{argv} failed")
+
+import paulinoise
+assert not loaded(), ("import paulinoise", loaded())
+from paulinoise.cli import main
+assert not loaded(), ("from paulinoise.cli import main", loaded())
+for argv in (["--help"], ANALYZE,
+             ["sweep", "--channel", "sigma1", "--bloch", "0.5,0.6,0.6", "--steps", "11",
+              "--out", sys.argv[1]]):
+    run(argv)
+    assert not loaded(), (argv, loaded())
+run(["verify", "--grid", "3", "--samples", "1"])
+assert loaded() == ["paulinoise.verify"], ("verify", loaded())
+"""
+
+
+def test_only_verify_loads_the_verify_engine_and_nothing_loads_dataclasses(tmp_path):
+    result = _python(f"ANALYZE = {ANALYZE!r}\n" + _COLD_START, str(tmp_path / "s.csv"))
+    assert result.returncode == 0, result.stderr

@@ -1,4 +1,3 @@
-from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -283,7 +282,7 @@ def test_full_report_is_consistent_with_pointwise_measures(axis, x, a):
     ref = reference().point(int(axis), x, a)
     want = dict(ref, lambdas=(ref["lambda_hi"], ref["lambda_lo"]),
                 thetas=(ref["theta_hi"], ref["theta_lo"]))
-    for name, value in asdict(rep).items():
+    for name, value in rep._asdict().items():
         expected = want[name]
         if isinstance(value, tuple):
             assert len(value) == len(expected), name
